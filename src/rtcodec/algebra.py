@@ -9,6 +9,7 @@ erasure mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
 
 import numpy as np
@@ -49,30 +50,50 @@ class SymbolString:
 # Reed-Solomon
 
 
-def _generator_poly(gf: GF, redundancy: int) -> list[int]:
+@lru_cache(maxsize=None)
+def rs_generator_poly(width: int, redundancy: int) -> tuple[int, ...]:
+    """prod_{i<redundancy} (x - alpha^i) over GF(2^width), highest degree first."""
+    gf = GF.get(width)
     g = [1]
     for i in range(redundancy):
         g = gf.poly_mul(g, [1, gf.exp[i]])
-    return g
+    return tuple(g)
 
 
 def rs_encode(msg: SymbolString, redundancy: int, width: int = 8) -> SymbolString:
     """Systematic encoding: message followed by ``redundancy`` parity symbols."""
+    parity = rs_parity_lanes(np.array(msg.symbols, dtype=np.int64).reshape(-1, 1), redundancy, width)
+    return SymbolString(msg.symbols + tuple(parity[:, 0].tolist()))
+
+
+def rs_parity_lanes(messages: np.ndarray, redundancy: int, width: int = 8) -> np.ndarray:
+    """Systematic RS parity of every column of ``messages`` (shape (length, lanes)).
+
+    Returns shape (redundancy, lanes): column j is the remainder of message
+    column j (followed by ``redundancy`` zeros) divided by the generator. The
+    division runs as an LFSR over all lanes at once, one message symbol per step.
+    """
     gf = GF.get(width)
-    if len(msg) + redundancy > gf.charac:
-        raise FieldTooSmall(f"{len(msg)}+{redundancy} symbols exceed GF(2^{width}) code length")
-    if any(not 0 <= s < gf.order for s in msg.symbols):
+    length, lanes = messages.shape
+    if length + redundancy > gf.charac:
+        raise FieldTooSmall(f"{length}+{redundancy} symbols exceed GF(2^{width}) code length")
+    if messages.size and (messages.min() < 0 or messages.max() >= gf.order):
         raise ValueError("symbol out of field range")
+    rem = np.zeros((lanes, redundancy), dtype=np.int64)
     if redundancy == 0:
-        return SymbolString(msg.symbols)
-    gen = _generator_poly(gf, redundancy)
-    _, rem = gf.poly_divmod(list(msg.symbols) + [0] * redundancy, gen)
-    parity = [0] * (redundancy - len(rem)) + rem
-    return SymbolString(msg.symbols + tuple(parity))
-
-
-def rs_parity(symbols: list[int], redundancy: int, width: int = 8) -> list[int]:
-    return list(rs_encode(SymbolString(tuple(symbols)), redundancy, width).symbols[len(symbols) :])
+        return rem.T
+    exp, log = gf.exp_array, gf.log_array
+    gen = np.array(rs_generator_poly(width, redundancy)[1:], dtype=np.int64)
+    gen_log, gen_zero = log[gen], gen == 0
+    for symbols in messages:
+        coef = symbols ^ rem[:, 0]
+        rem[:, :-1] = rem[:, 1:]
+        rem[:, -1] = 0
+        term = exp[log[coef][:, None] + gen_log]
+        term[coef == 0] = 0
+        term[:, gen_zero] = 0
+        rem ^= term
+    return rem.T
 
 
 def _syndromes(gf: GF, cw: list[int], redundancy: int) -> list[int]:

@@ -52,19 +52,19 @@ def ceil_log2(n: int) -> int:
 
 def format_track(bits: BitArray) -> str:
     """Hex track format: header line ``len=<n>``, then lowercase hex, MSB-first."""
+    bits = np.asarray(bits, dtype=np.uint8)
     n = len(bits)
-    digits = []
-    for i in range(0, n, 4):
-        chunk = bits[i : i + 4]
-        v = 0
-        for j in range(4):
-            v = (v << 1) | (int(chunk[j]) if j < len(chunk) else 0)
-        digits.append("0123456789abcdef"[v])
-    return f"len={n}\n{''.join(digits)}\n"
+    return f"len={n}\n{np.packbits(bits).tobytes().hex()[: (n + 3) // 4]}\n"
+
+
+# ASCII code -> nibble value, 255 for anything that is not a hex digit
+_HEX_VALUE = np.full(256, 255, dtype=np.uint8)
+_HEX_VALUE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
+_HEX_VALUE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
 
 def parse_track(text: str) -> BitArray:
-    """Parse either the hex format or raw ASCII 0/1 lines."""
+    """Parse either the hex format (either case) or raw ASCII 0/1 lines."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty track file")
@@ -76,10 +76,10 @@ def parse_track(text: str) -> BitArray:
         hexstr = "".join(lines[1:])
         if len(hexstr) != (n + 3) // 4:
             raise ValueError(f"hex payload has {len(hexstr)} digits, expected {(n + 3) // 4}")
-        out = np.zeros(4 * len(hexstr), dtype=np.uint8)
-        for i, ch in enumerate(hexstr):
-            v = int(ch, 16)
-            out[4 * i : 4 * i + 4] = [(v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1]
+        nibbles = _HEX_VALUE[np.frombuffer(hexstr.encode("ascii", "replace"), dtype=np.uint8)]
+        if (nibbles == 255).any():
+            raise ValueError("hex payload holds a non-hex digit")
+        out = np.unpackbits(nibbles[:, None], axis=1)[:, 4:].ravel()
         if out[n:].any():
             raise ValueError("nonzero padding bits after declared length")
         return out[:n]
@@ -87,16 +87,6 @@ def parse_track(text: str) -> BitArray:
     if set(payload) - {"0", "1"}:
         raise ValueError("ASCII track may contain only 0/1")
     return as_bits(payload)
-
-
-def write_track(path, bits: BitArray) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_track(bits))
-
-
-def read_track(path) -> BitArray:
-    with open(path) as fh:
-        return parse_track(fh.read())
 
 
 def run_lengths(bits: BitArray) -> list[tuple[int, int]]:

@@ -109,6 +109,8 @@ def cmd_corrupt(args) -> int:
         cw, params = files.read_codeword(args.infile)
     except (OSError, ValueError, KeyError) as e:
         raise CliError(EXIT_IO, f"cannot read codeword: {e}") from e
+    except ParamViolation as e:
+        raise CliError(EXIT_CONFIG, f"bad sidecar parameters: {e}") from e
     track = BitTrack(cw)
     try:
         if args.delta1 is not None:
@@ -146,9 +148,13 @@ def cmd_decode(args) -> int:
     try:
         matrix = files.read_matrix(args.infile)
         doc = _load_json(args.sidecar)
+        if not isinstance(doc, dict):
+            raise ParamViolation("sidecar is not a JSON object")
         params = CodeParams.from_dict(doc["params"])
     except (OSError, ValueError, KeyError) as e:
         raise CliError(EXIT_IO, f"cannot read inputs: {e}") from e
+    except ParamViolation as e:
+        raise CliError(EXIT_CONFIG, f"bad sidecar parameters: {e}") from e
     report: dict = {"schema_version": 1, "kind": params.kind}
     try:
         if params.kind == "deletion":
@@ -161,6 +167,8 @@ def cmd_decode(args) -> int:
             Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
         print(f"decode failed at stage {e.stage}: {e}", file=sys.stderr)
         return EXIT_DECODE
+    except RtCodecError as e:
+        raise CliError(EXIT_CONFIG, f"parameters unusable for decoding: {e}") from e
     files.write_track(args.out, out)
     report.update({"ok": True, "bits": len(out)})
     if args.report:

@@ -45,8 +45,7 @@ def read_codeword(path) -> tuple[BitArray, CodeParams]:
 def write_matrix(path, matrix: ReadMatrix) -> None:
     kind = "edit" if matrix.kind == "edit" else "del"
     lines = [f"kind={kind} rows={matrix.d} cols={matrix.cols}"]
-    for w in range(1, matrix.d + 1):
-        lines.append("".join("1" if b else "0" for b in matrix.row(w)))
+    lines += [row.tobytes().decode("ascii") for row in (matrix.rows != 0).astype(np.uint8) + ord("0")]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -61,9 +60,12 @@ def read_matrix(path) -> ReadMatrix:
     rows_n, cols = int(fields["rows"]), int(fields["cols"])
     if len(lines) - 1 != rows_n:
         raise ValueError(f"expected {rows_n} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        if len(ln) != cols or set(ln) - {"0", "1"}:
-            raise ValueError("malformed matrix row")
-        rows.append(as_bits(ln))
-    return ReadMatrix(np.stack(rows), kind=kind)
+    if not rows_n:
+        raise ValueError("read matrix has no rows")
+    if any(len(ln) != cols for ln in lines[1:]):
+        raise ValueError("malformed matrix row")
+    # a non-ASCII character becomes "?", which the 0/1 check below rejects
+    rows = np.frombuffer("".join(lines[1:]).encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    if (rows > 1).any():
+        raise ValueError("malformed matrix row")
+    return ReadMatrix(rows.reshape(rows_n, cols), kind=kind)

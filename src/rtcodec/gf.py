@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 _PRIMITIVE_POLY = {8: 0x11D, 16: 0x1100B}
 
 
@@ -28,6 +30,9 @@ class GF:
                 x ^= poly
         for i in range(self.charac, 2 * self.charac):
             self.exp[i] = self.exp[i - self.charac]
+        # the same tables as arrays, for lookups over whole arrays
+        self.exp_array = np.array(self.exp, dtype=np.int64)
+        self.log_array = np.array(self.log, dtype=np.int64)
 
     @classmethod
     def get(cls, width: int) -> "GF":
@@ -71,14 +76,3 @@ class GF:
         for c in p:
             y = self.mul(y, x) ^ c
         return y
-
-    def poly_divmod(self, dividend: list[int], divisor: list[int]) -> tuple[list[int], list[int]]:
-        out = list(dividend)
-        lead_inv = self.inv(divisor[0])
-        for i in range(len(dividend) - len(divisor) + 1):
-            coef = out[i] = self.mul(out[i], lead_inv)
-            if coef != 0:
-                for j in range(1, len(divisor)):
-                    out[i + j] ^= self.mul(divisor[j], coef)
-        sep = len(dividend) - len(divisor) + 1
-        return out[:sep], out[sep:]

@@ -14,16 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitArray, as_bits, bits_from_int, int_from_bits
+from .bits import BitArray, as_bits, bits_from_int
 from .errors import DecodeFailure, ParamViolation
 from .gf import GF
 from .hashing import DeletionHasher, block_bounds
 from .algebra import (
     SymbolString,
-    oddeven_parity,
     oddeven_restore,
     rs_decode_errors_erasures,
-    rs_parity,
+    rs_parity_lanes,
 )
 from .params import CodeParams
 
@@ -101,53 +100,60 @@ def build_layout(params: CodeParams, hasher: DeletionHasher, rlayer: DeletionHas
     )
 
 
+def _symbol_bits(symbols: list[int], w: int) -> BitArray:
+    """Concatenated MSB-first w-bit expansions of the symbols."""
+    if not symbols:
+        return as_bits([])
+    if min(symbols) < 0 or max(symbols) >= 1 << w:
+        for s in symbols:
+            bits_from_int(s, w)  # raises the ValueError naming the first misfit
+    values = np.array(symbols, dtype=np.int64)
+    return ((values[:, None] >> np.arange(w - 1, -1, -1)) & 1).astype(np.uint8).ravel()
+
+
+def _symbol_values(bits: np.ndarray, w: int) -> np.ndarray:
+    """Integer value of each MSB-first w-bit row along the last axis of ``bits``."""
+    return (bits.astype(np.int64) << np.arange(w - 1, -1, -1)).sum(axis=-1)
+
+
 def pack_group(hash_bits: BitArray, layout: Layout) -> list[int]:
     """Zero-pad a block hash to H bits and chop into g w-bit symbols, MSB-first."""
-    padded = np.zeros(layout.hash_bits, dtype=np.uint8)
-    padded[: len(hash_bits)] = hash_bits
+    if len(hash_bits) > layout.hash_bits:
+        raise ValueError(f"{len(hash_bits)}-bit hash exceeds the padded width {layout.hash_bits}")
     w = layout.symbol_bits
-    total = layout.group_symbols * w
-    buf = np.zeros(total, dtype=np.uint8)
-    buf[: layout.hash_bits] = padded
-    return [int_from_bits(buf[i * w : (i + 1) * w]) for i in range(layout.group_symbols)]
+    buf = np.zeros(layout.group_symbols * w, dtype=np.uint8)
+    buf[: len(hash_bits)] = hash_bits
+    return _symbol_values(buf.reshape(-1, w), w).tolist()
 
 
 def unpack_group(symbols: list[int], layout: Layout, true_len: int) -> BitArray:
-    w = layout.symbol_bits
-    bits = np.concatenate([bits_from_int(s, w) for s in symbols]) if symbols else as_bits([])
-    return bits[:true_len]
+    return _symbol_bits(symbols, layout.symbol_bits)[:true_len]
 
 
 def groups_to_bits(groups: list[list[int]], layout: Layout) -> BitArray:
-    w = layout.symbol_bits
-    if not groups:
-        return as_bits([])
-    return np.concatenate([bits_from_int(s, w) for grp in groups for s in grp])
+    return _symbol_bits([s for grp in groups for s in grp], layout.symbol_bits)
 
 
 def bits_to_groups(bits: BitArray, layout: Layout, n_groups: int) -> list[list[int]]:
     w = layout.symbol_bits
     g = layout.group_symbols
-    out = []
-    for i in range(n_groups):
-        grp = []
-        for j in range(g):
-            off = (i * g + j) * w
-            grp.append(int_from_bits(bits[off : off + w]))
-        out.append(grp)
-    return out
+    if len(bits) < n_groups * g * w:
+        raise ValueError(f"{len(bits)} bits cannot fill {n_groups} groups of {g} {w}-bit symbols")
+    return _symbol_values(np.asarray(bits[: n_groups * g * w]).reshape(n_groups, g, w), w).tolist()
+
+
+def _lanes(block_groups: list[list[int]], layout: Layout) -> np.ndarray:
+    """Block groups as an int array of shape (blocks, g): row i is block i, column j lane j."""
+    return np.array(block_groups, dtype=np.int64).reshape(len(block_groups), layout.group_symbols)
 
 
 def parity_groups_pair(block_groups: list[list[int]], layout: Layout) -> list[list[int]]:
     """Lane-wise odd/even parity over block groups: two parity groups."""
-    g = layout.group_symbols
-    p1, p2 = [], []
-    for lane in range(g):
-        lane_syms = [grp[lane] for grp in block_groups]
-        a, b = oddeven_parity(lane_syms)
-        p1.append(a)
-        p2.append(b)
-    return [p1, p2]
+    lanes = _lanes(block_groups, layout)
+    return [
+        np.bitwise_xor.reduce(lanes[0::2], axis=0).tolist(),
+        np.bitwise_xor.reduce(lanes[1::2], axis=0).tolist(),
+    ]
 
 
 def restore_pair(
@@ -162,25 +168,17 @@ def restore_pair(
             None if block_groups[i] is None else block_groups[i][lane] for i in range(len(block_groups))
         ]
         fixed = oddeven_restore(lane_syms, (parity[0][lane], parity[1][lane]))
-        if not erased and fixed != [grp[lane] for grp in block_groups]:
-            raise DecodeFailure("erasure", "pair parity mismatch with no erasures")
         for i in erased:
             out[i][lane] = fixed[i]
-    if not erased:
-        # no unknowns: verify both parity equations as a consistency check
-        for lane in range(g):
-            lane_syms = [grp[lane] for grp in block_groups]
-            if oddeven_parity(lane_syms) != (parity[0][lane], parity[1][lane]):
-                raise DecodeFailure("erasure", "pair parity mismatch with no erasures")
+    # no unknowns: verify both parity equations as a consistency check
+    if not erased and parity_groups_pair(block_groups, layout) != [list(p) for p in parity]:
+        raise DecodeFailure("erasure", "pair parity mismatch with no erasures")
     return out
 
 
 def parity_groups_rs(block_groups: list[list[int]], layout: Layout) -> list[list[int]]:
     """Lane-wise systematic RS parity: parity_groups groups."""
-    g = layout.group_symbols
-    r = layout.parity_groups
-    lanes = [rs_parity([grp[lane] for grp in block_groups], r, layout.symbol_bits) for lane in range(g)]
-    return [[lanes[lane][j] for lane in range(g)] for j in range(r)]
+    return rs_parity_lanes(_lanes(block_groups, layout), layout.parity_groups, layout.symbol_bits).tolist()
 
 
 def restore_rs(

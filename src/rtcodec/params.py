@@ -241,10 +241,31 @@ class CodeParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CodeParams":
+        """Inverse of ``to_dict``; a missing field raises KeyError, a field of
+        the wrong type or value ParamViolation."""
+        if not isinstance(data, dict):
+            raise ParamViolation(f"parameters must be an object, got {type(data).__name__}")
+        for key, kind in _FIELD_TYPES.items():
+            if key in data and not _has_type(data[key], kind):
+                raise ParamViolation(f"parameter {key!r} must be {kind.__name__}, got {data[key]!r}")
+        t = data["t"]
+        if not isinstance(t, list) or not all(_has_type(x, int) for x in t):
+            raise ParamViolation(f"parameter 't' must be a list of ints, got {t!r}")
+        if data.get("symbol_bits", 8) not in (8, 16):
+            raise ParamViolation(f"parameter 'symbol_bits' must be a GF width, 8 or 16, got {data['symbol_bits']!r}")
+        for key in ("hash_mode", "rlayer_hash_mode"):
+            try:
+                make_hasher(data[key])
+            except ValueError as e:
+                raise ParamViolation(f"parameter {key!r}: {e}") from e
+        try:
+            geometry = HeadGeometry(tuple(t))
+        except ValueError as e:
+            raise ParamViolation(str(e)) from e
         return cls(
             n=data["n"],
             k=data["k"],
-            geometry=HeadGeometry(tuple(data["t"])),
+            geometry=geometry,
             kind=data["kind"],
             mode=data["mode"],
             T=data["T"],
@@ -254,3 +275,22 @@ class CodeParams:
             symbol_bits=data.get("symbol_bits", 8),
             coloring_budget=data.get("coloring_budget", 16),
         )
+
+
+_FIELD_TYPES = {
+    "n": int,
+    "k": int,
+    "kind": str,
+    "mode": str,
+    "T": int,
+    "block_len": int,
+    "hash_mode": str,
+    "rlayer_hash_mode": str,
+    "symbol_bits": int,
+    "coloring_budget": int,
+}
+
+
+def _has_type(value, kind: type) -> bool:
+    # bool is an int subclass, but true/false is never a valid count
+    return isinstance(value, kind) and not isinstance(value, bool)

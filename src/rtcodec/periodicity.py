@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bits import BitArray, as_bits, bits_from_int, ceil_log2, int_from_bits
 from .errors import NotInImage
@@ -68,19 +69,51 @@ def _smallest_period_at(c: np.ndarray, start: int, w: int, k: int) -> int | None
     """Smallest p <= k such that c[start:start+w] has period p, or None."""
     win = c[start : start + w]
     for p in range(1, k + 1):
-        if np.array_equal(win[p:], win[:-p]):
+        if win[p:].tobytes() == win[:-p].tobytes():
             return p
     return None
+
+
+def _first_periodic_window(c: np.ndarray, start: int, stop: int, w: int, k: int) -> tuple[int, int] | None:
+    """First j in [start, stop) whose window c[j:j+w] has a period <= k, with
+    the smallest such period; None if every window there is free.
+
+    Row p-1 of ``mism`` holds prefix sums of c[t] != c[t+p], so a window has
+    period p exactly when its w-p comparisons add up to zero mismatches.
+    """
+    seg = c[start : stop - 1 + w]
+    m = len(seg)
+    shifted = sliding_window_view(np.concatenate([seg, np.zeros(k, dtype=np.uint8)]), m)[1:]
+    mism = np.zeros((k, m + 1), dtype=np.int32)
+    np.cumsum(shifted != seg, axis=1, out=mism[:, 1:])
+    span = stop - start
+    ends = np.arange(span) + (w - np.arange(1, k + 1))[:, None]
+    periodic = np.take_along_axis(mism, ends, axis=1) == mism[:, :span]
+    hits = np.flatnonzero(periodic.any(axis=0))
+    if not len(hits):
+        return None
+    j = int(hits[0])
+    return start + j, int(np.argmax(periodic[:, j])) + 1
 
 
 def cap_periods(bits, k: int) -> BitArray:
     """Injective transform to length n+k+1 with bounded low-period runs.
 
-    Scans for windows of length 2k + ceil(log2 n) + 2 having period <= k;
-    each such window is excised and replaced by an appended block that records
-    the window's smallest period, its first period's bits, and the excision
-    index, framed so the appended region can never itself form a long
-    low-period run. The scan restarts from the beginning after every excision.
+    Repeatedly finds the first window of length 2k + ceil(log2 n) + 2 having
+    period <= k; each such window is excised and replaced by an appended block
+    that records the window's smallest period, its first period's bits, and
+    the excision index, framed so the appended region can never itself form a
+    long low-period run.
+
+    After an excision at i the scan resumes at max(0, i-w+1), not at 0: a
+    window starting at or before i-w lies wholly before i, so the excision
+    leaves it unchanged, and the scan that reached i already found it free of
+    low periods. The first periodic window is therefore the same one a scan
+    from 0 would find, and so is the output. The window at the resume point is
+    tested on its own first (on a highly periodic track it is the next
+    excision); past it the scan tests whole chunks of windows at once, the
+    chunk doubling while no window is found, so the work before each excision
+    stays proportional to the distance scanned.
     """
     c = as_bits(bits)
     n = len(c)
@@ -91,24 +124,26 @@ def cap_periods(bits, k: int) -> BitArray:
     f = np.concatenate([c, np.ones(k, dtype=np.uint8), np.zeros(1, dtype=np.uint8)])
     n_live = n  # prefix of f still holding original (uncapped) bits
     i = 0  # 0-based scan index
+    chunk = 4 * w
     while i + w <= n_live:
         p_min = _smallest_period_at(f, i, w, k)
         if p_min is None:
-            i += 1
-            continue
-        prefix = f[i : i + p_min].copy()
-        block = np.concatenate(
-            [
-                np.ones(k - p_min, dtype=np.uint8),
-                np.zeros(1, dtype=np.uint8),
-                prefix,
-                bits_from_int(i + 1, width),  # excision index, 1-based
-                np.zeros(k + 1, dtype=np.uint8),
-            ]
-        )
-        f = np.concatenate([f[:i], f[i + w :], block])
+            stop = min(i + 1 + chunk, n_live - w + 1)
+            hit = _first_periodic_window(f, i + 1, stop, w, k) if stop > i + 1 else None
+            if hit is None:
+                i = stop
+                chunk *= 2
+                continue
+            i, p_min = hit
+        block = np.zeros(w, dtype=np.uint8)  # ends in k+1 framing zeros
+        block[: k - p_min] = 1
+        block[k - p_min + 1 : k + 1] = f[i : i + p_min]
+        block[k + 1 : k + 1 + width] = bits_from_int(i + 1, width)  # excision index, 1-based
+        f[i:-w] = f[i + w :]
+        f[-w:] = block
         n_live -= w
-        i = 0
+        i = max(0, i - w + 1)
+        chunk = 4 * w
     return f
 
 

@@ -189,3 +189,120 @@ def cluster_interval_assignment(clusters, intervals, delta1, gamma1) -> dict[int
         for j in homes:
             out[j].append(ci)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference encode-side implementations (the original per-position loops),
+# kept as byte-identity oracles for the vectorised versions
+
+
+def reference_cap_periods(bits, k: int) -> np.ndarray:
+    """Period capping by a window-at-a-time scan that restarts at 0 after every excision."""
+    from rtcodec.bits import as_bits, bits_from_int, ceil_log2
+
+    def smallest_period_at(c, start, w, k):
+        win = c[start : start + w]
+        for p in range(1, k + 1):
+            if np.array_equal(win[p:], win[:-p]):
+                return p
+        return None
+
+    c = as_bits(bits)
+    n = len(c)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    width = ceil_log2(n)
+    w = 2 * k + ceil_log2(n) + 2
+    f = np.concatenate([c, np.ones(k, dtype=np.uint8), np.zeros(1, dtype=np.uint8)])
+    n_live = n
+    i = 0
+    while i + w <= n_live:
+        p_min = smallest_period_at(f, i, w, k)
+        if p_min is None:
+            i += 1
+            continue
+        prefix = f[i : i + p_min].copy()
+        block = np.concatenate(
+            [
+                np.ones(k - p_min, dtype=np.uint8),
+                np.zeros(1, dtype=np.uint8),
+                prefix,
+                bits_from_int(i + 1, width),
+                np.zeros(k + 1, dtype=np.uint8),
+            ]
+        )
+        f = np.concatenate([f[:i], f[i + w :], block])
+        n_live -= w
+        i = 0
+    return f
+
+
+def reference_format_track(bits) -> str:
+    """Hex track format, one nibble at a time."""
+    n = len(bits)
+    digits = []
+    for i in range(0, n, 4):
+        chunk = bits[i : i + 4]
+        v = 0
+        for j in range(4):
+            v = (v << 1) | (int(chunk[j]) if j < len(chunk) else 0)
+        digits.append("0123456789abcdef"[v])
+    return f"len={n}\n{''.join(digits)}\n"
+
+
+def reference_parse_track(text: str) -> np.ndarray:
+    """Hex or ASCII track parse, one nibble at a time."""
+    from rtcodec.bits import as_bits
+
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty track file")
+    if lines[0].startswith("len="):
+        try:
+            n = int(lines[0][4:])
+        except ValueError as e:
+            raise ValueError(f"bad length header: {lines[0]!r}") from e
+        hexstr = "".join(lines[1:])
+        if len(hexstr) != (n + 3) // 4:
+            raise ValueError(f"hex payload has {len(hexstr)} digits, expected {(n + 3) // 4}")
+        out = np.zeros(4 * len(hexstr), dtype=np.uint8)
+        for i, ch in enumerate(hexstr):
+            v = int(ch, 16)
+            out[4 * i : 4 * i + 4] = [(v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1]
+        if out[n:].any():
+            raise ValueError("nonzero padding bits after declared length")
+        return out[:n]
+    payload = "".join(lines)
+    if set(payload) - {"0", "1"}:
+        raise ValueError("ASCII track may contain only 0/1")
+    return as_bits(payload)
+
+
+def reference_parity_groups_rs(block_groups, parity_groups: int, group_symbols: int, width: int):
+    """Lane-wise systematic RS parity, one scalar polynomial division per lane."""
+    from rtcodec.gf import GF
+
+    gf = GF.get(width)
+
+    def poly_divmod(dividend, divisor):
+        out = list(dividend)
+        lead_inv = gf.inv(divisor[0])
+        for i in range(len(dividend) - len(divisor) + 1):
+            coef = out[i] = gf.mul(out[i], lead_inv)
+            if coef != 0:
+                for j in range(1, len(divisor)):
+                    out[i + j] ^= gf.mul(divisor[j], coef)
+        sep = len(dividend) - len(divisor) + 1
+        return out[:sep], out[sep:]
+
+    def rs_parity(symbols, redundancy):
+        if redundancy == 0:
+            return []
+        gen = [1]
+        for i in range(redundancy):
+            gen = gf.poly_mul(gen, [1, gf.exp[i]])
+        _, rem = poly_divmod(list(symbols) + [0] * redundancy, gen)
+        return [0] * (redundancy - len(rem)) + rem
+
+    lanes = [rs_parity([grp[lane] for grp in block_groups], parity_groups) for lane in range(group_symbols)]
+    return [[lanes[lane][j] for lane in range(group_symbols)] for j in range(parity_groups)]

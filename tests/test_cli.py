@@ -142,3 +142,23 @@ def test_oracle_ball_disjoint(tmp_path):
     assert main(["oracle", "ball-disjoint", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["disjoint"] is True and doc["pairs"] == 15
+
+
+@pytest.mark.parametrize("key,value", [("t", [5]), ("k", "2"), ("symbol_bits", 12)])
+def test_decode_bad_sidecar_is_config_error(tmp_path, capsys, key, value):
+    """A sidecar whose parameters are out of range or of the wrong type exits 3 with one line."""
+    msg = tmp_path / "msg.track"
+    write_random_track(msg, 128, 5)
+    cw = tmp_path / "cw.track"
+    mat = tmp_path / "reads.mat"
+    assert main(["encode", "--in", str(msg), "--out", str(cw), "--k", "2", "--d", "2"]) == 0
+    assert main(["corrupt", "--in", str(cw), "--out", str(mat), "--seed", "6"]) == 0
+    doc = json.loads(Path(str(cw) + ".json").read_text())
+    doc["params"][key] = value
+    sidecar = tmp_path / "bad.json"
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["decode", "--in", str(mat), "--sidecar", str(sidecar), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

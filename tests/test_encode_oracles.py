@@ -1,0 +1,167 @@
+"""Byte-identity of the vectorised encode path against the per-position
+reference implementations in ``helpers``, on a seeded corpus."""
+
+import numpy as np
+import pytest
+
+from rtcodec.algebra import oddeven_parity
+from rtcodec.bits import bits_from_int, format_track, parse_track
+from rtcodec.files import read_matrix, write_matrix
+from rtcodec.layout import (
+    Layout,
+    bits_to_groups,
+    groups_to_bits,
+    pack_group,
+    parity_groups_pair,
+    parity_groups_rs,
+    unpack_group,
+)
+from rtcodec.model import ReadMatrix
+from rtcodec.periodicity import cap_periods
+
+from helpers import (
+    reference_cap_periods,
+    reference_format_track,
+    reference_parity_groups_rs,
+    reference_parse_track,
+)
+
+
+def plant_runs(rng, c: np.ndarray, k: int, count: int) -> np.ndarray:
+    """Overwrite ``count`` random stretches of c with runs of period <= k."""
+    c = c.copy()
+    n = len(c)
+    for _ in range(count):
+        p = int(rng.integers(1, k + 1))
+        start = int(rng.integers(0, n))
+        stop = min(n, start + int(rng.integers(1, 120)))
+        c[start:stop] = np.resize(rng.integers(0, 2, p, dtype=np.uint8), stop - start)
+    return c
+
+
+def assert_cap_matches(c: np.ndarray, k: int) -> None:
+    got, want = cap_periods(c, k), reference_cap_periods(c, k)
+    assert got.dtype == want.dtype == np.uint8
+    assert np.array_equal(got, want), f"n={len(c)} k={k}"
+
+
+def test_cap_random_tracks():
+    rng = np.random.default_rng(20221)
+    sizes = [1, 2, 3, 5, 17, 64, 255, 1000, 5000] + [int(x) for x in rng.integers(1, 5001, 12)]
+    for i, n in enumerate(sizes):
+        k = 1 + i % 6
+        assert_cap_matches(rng.integers(0, 2, n, dtype=np.uint8), k)
+
+
+def test_cap_planted_periodic_runs():
+    rng = np.random.default_rng(20222)
+    for i in range(40):
+        n = int(rng.integers(1, 1500))
+        k = 1 + i % 6
+        c = plant_runs(rng, rng.integers(0, 2, n, dtype=np.uint8), k, int(rng.integers(1, 8)))
+        assert_cap_matches(c, k)
+
+
+@pytest.mark.parametrize("pattern", [[0], [1], [0, 1], [1, 1, 0]], ids=["zero", "one", "alternating", "period3"])
+def test_cap_periodic_tracks(pattern):
+    for n in (1, 10, 63, 500, 2049):
+        for k in range(1, 7):
+            assert_cap_matches(np.resize(np.array(pattern, dtype=np.uint8), n), k)
+
+
+def test_cap_periodic_prefix_then_random():
+    # the resume point after an excision lands inside a long periodic stretch
+    rng = np.random.default_rng(20223)
+    for k in (1, 2, 4):
+        c = np.concatenate([np.zeros(700, dtype=np.uint8), rng.integers(0, 2, 700, dtype=np.uint8)])
+        assert_cap_matches(c, k)
+        assert_cap_matches(c[::-1].copy(), k)
+
+
+def test_track_format_matches_reference():
+    rng = np.random.default_rng(20224)
+    for n in list(range(0, 40)) + [int(x) for x in rng.integers(40, 5000, 20)]:
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        text = format_track(bits)
+        assert text == reference_format_track(bits)
+        assert np.array_equal(parse_track(text), reference_parse_track(text))
+        upper = text.upper().replace("LEN=", "len=")
+        assert np.array_equal(parse_track(upper), reference_parse_track(upper))
+        ascii_text = "".join(map(str, bits)) + "\n"
+        if n:
+            assert np.array_equal(parse_track(ascii_text), reference_parse_track(ascii_text))
+
+
+def make_layout(groups: int, g: int, width: int) -> Layout:
+    return Layout(
+        n=1, k=1, f_len=1, block_len=2, blocks=(), hash_bits=g * width - 3 if g else 0,
+        group_symbols=g, symbol_bits=width, parity_groups=groups, rlayer_hash_bits=0,
+    )
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_rs_parity_matches_per_lane_reference(width):
+    rng = np.random.default_rng(20225 + width)
+    for _ in range(60):
+        blocks = int(rng.integers(0, 60))
+        g = int(rng.integers(1, 24))
+        r = int(rng.integers(0, 9))
+        groups = rng.integers(0, 1 << width, (blocks, g)).tolist()
+        if blocks:
+            groups[0][0] = 0  # a zero symbol takes the log-table bypass
+        got = parity_groups_rs(groups, make_layout(r, g, width))
+        assert got == reference_parity_groups_rs(groups, r, g, width)
+        assert all(type(s) is int for grp in got for s in grp)
+
+
+def test_pair_parity_matches_per_lane_reference():
+    rng = np.random.default_rng(20226)
+    for _ in range(40):
+        blocks, g = int(rng.integers(0, 30)), int(rng.integers(1, 12))
+        groups = rng.integers(0, 256, (blocks, g)).tolist()
+        want = [[oddeven_parity([grp[lane] for grp in groups])[j] for lane in range(g)] for j in range(2)]
+        assert parity_groups_pair(groups, make_layout(2, g, 8)) == want
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_symbol_packing_matches_bitwise_definition(width):
+    rng = np.random.default_rng(20227 + width)
+    for _ in range(30):
+        g = int(rng.integers(1, 10))
+        layout = make_layout(2, g, width)
+        hash_bits = rng.integers(0, 2, int(rng.integers(0, layout.hash_bits + 1)), dtype=np.uint8)
+        padded = np.zeros(g * width, dtype=np.uint8)
+        padded[: len(hash_bits)] = hash_bits
+        want = [int("".join(map(str, padded[i * width : (i + 1) * width])), 2) for i in range(g)]
+        assert pack_group(hash_bits, layout) == want
+        assert np.array_equal(unpack_group(want, layout, len(hash_bits)), hash_bits)
+        groups = rng.integers(0, 1 << width, (2, g)).tolist()
+        bits = groups_to_bits(groups, layout)
+        assert np.array_equal(bits, np.concatenate([bits_from_int(s, width) for grp in groups for s in grp]))
+        assert bits_to_groups(bits, layout, 2) == groups
+
+
+def test_symbol_helpers_keep_their_checks():
+    layout = make_layout(2, 2, 8)
+    with pytest.raises(ValueError, match="does not fit in 8 bits"):
+        groups_to_bits([[1, 256]], layout)
+    with pytest.raises(ValueError, match="does not fit in 8 bits"):
+        unpack_group([-1], layout, 8)
+    with pytest.raises(ValueError):
+        pack_group(np.ones(layout.hash_bits + 1, dtype=np.uint8), layout)
+    with pytest.raises(ValueError):
+        parity_groups_rs([[0, 300]], layout)
+
+
+def test_matrix_file_rows_are_ascii_bits(tmp_path):
+    rng = np.random.default_rng(20228)
+    rows = rng.integers(0, 2, (3, 77), dtype=np.uint8)
+    path = tmp_path / "m.mat"
+    write_matrix(path, ReadMatrix(rows, kind="edit"))
+    want = ["kind=edit rows=3 cols=77"] + ["".join("1" if b else "0" for b in row) for row in rows]
+    assert path.read_text() == "\n".join(want) + "\n"
+    assert read_matrix(path) == ReadMatrix(rows, kind="edit")
+    for bad in ("kind=del rows=1 cols=3\n021\n", "kind=del rows=1 cols=3\n01é\n", "kind=del rows=0 cols=3\n"):
+        path.write_text(bad)
+        with pytest.raises(ValueError):
+            read_matrix(path)
