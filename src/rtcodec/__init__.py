@@ -1,81 +1,18 @@
 """Multi-head shift-error channel model and deletion/edit correcting codecs."""
 
-from .algebra import (
-    SymbolString,
-    oddeven_parity,
-    oddeven_restore,
-    rep_decode,
-    rep_encode,
-    rs_decode_erasures,
-    rs_decode_errors_erasures,
-    rs_encode,
-)
 from .delcodec import decode_deletions, deletion_layout, encode_deletions
-from .delsync import (
-    IntervalReport,
-    align_and_recover_clean_bits,
-    build_report,
-    count_deletions_in_interval,
-    identify_intervals,
-    recover_interval_multihead,
-)
 from .editcodec import decode_edits, edit_layout, encode_edits
-from .editsync import (
-    EditIntervalReport,
-    build_edit_report,
-    head_reduction_recover,
-    identify_edit_intervals,
-    net_shift_of_interval,
-    recover_outside_bits,
-)
-from .errors import (
-    Ambiguous,
-    BudgetExceeded,
-    DecodeFailure,
-    HashRecoveryFailed,
-    InadmissiblePattern,
-    MajorityTie,
-    MalformedRepetition,
-    NoCandidate,
-    NotInImage,
-    ParamViolation,
-    ReductionStuck,
-    RtCodecError,
-    TooManyErasures,
-    UnsupportedErasurePattern,
-    UnsupportedK,
-)
-from .hashing import (
-    BlockHashVector,
-    ColoringHasher,
-    DeletionHasher,
-    IdentityHasher,
-    VtHasher,
-    block_bounds,
-    hash_blocks,
-    make_hasher,
-    recover_blocks,
-)
+from .errors import DecodeFailure, ParamViolation, RtCodecError
 from .model import (
     BitTrack,
     DeletionPattern,
     EditPattern,
-    HeadGeometry,
     ReadMatrix,
     apply_deletions,
     apply_edits,
-    enumerate_deletion_ball,
     sample_deletion_pattern,
     sample_edit_pattern,
 )
-from .params import CodeParams, period_bound
-from .periodicity import (
-    PeriodProfile,
-    cap_periods,
-    longest_periodic_run,
-    max_periodic_run,
-    period_cap,
-    uncap_periods,
-)
+from .params import CodeParams
 
 __version__ = "0.1.0"

@@ -125,22 +125,6 @@ def _berlekamp_massey(gf: GF, synd: list[int]) -> tuple[list[int], int]:
     return sigma, L
 
 
-def _eval_ascending(gf: GF, poly: list[int], x: int) -> int:
-    y = 0
-    for c in reversed(poly):
-        y = gf.mul(y, x) ^ c
-    return y
-
-
-def _poly_mul_ascending(gf: GF, p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] ^= gf.mul(a, b)
-    return out
-
-
 def rs_decode_errors_erasures(
     word: SymbolString, redundancy: int, width: int = 8
 ) -> SymbolString:
@@ -162,32 +146,35 @@ def rs_decode_errors_erasures(
     if not any(synd) and not erasures:
         return SymbolString(tuple(cw))
 
+    # locators, syndromes and omega are ascending here; gf.poly_mul's
+    # convolution is the same in either order, gf.poly_eval wants it reversed
     def locator(positions: list[int]) -> list[int]:
         loc = [1]
         for p in positions:
-            loc = _poly_mul_ascending(gf, loc, [1, gf.exp[(n - 1 - p) % gf.charac]])
+            loc = gf.poly_mul(loc, [1, gf.exp[(n - 1 - p) % gf.charac]])
         return loc
 
     erase_loc = locator(erasures)
     # Forney syndromes: remove the erasure contribution before searching errors.
-    fsynd = _poly_mul_ascending(gf, synd, erase_loc)[: len(synd)]
+    fsynd = gf.poly_mul(synd, erase_loc)[: len(synd)]
     sigma, n_errors = _berlekamp_massey(gf, fsynd[len(erasures) :])
     if 2 * n_errors + len(erasures) > redundancy:
         raise DecodeFailure("rs", "errata beyond guarantee radius")
     err_pos = []
     if n_errors:
+        sigma_desc = sigma[::-1]
         for p in range(n):
-            if _eval_ascending(gf, sigma, gf.exp[gf.charac - ((n - 1 - p) % gf.charac)]) == 0:
+            if gf.poly_eval(sigma_desc, gf.exp[gf.charac - ((n - 1 - p) % gf.charac)]) == 0:
                 err_pos.append(p)
         if len(err_pos) != n_errors:
             raise DecodeFailure("rs", "error locator degree does not match its roots")
     errata = sorted(erasures + err_pos)
     lam = locator(errata)
-    omega = _poly_mul_ascending(gf, synd, lam)[:redundancy]
+    omega_desc = gf.poly_mul(synd, lam)[:redundancy][::-1]
     for p in errata:
         xi = gf.exp[(n - 1 - p) % gf.charac]
         xi_inv = gf.inv(xi)
-        num = _eval_ascending(gf, omega, xi_inv)
+        num = gf.poly_eval(omega_desc, xi_inv)
         den = 0
         for j in range(1, len(lam), 2):
             den ^= gf.mul(lam[j], gf.pow(xi_inv, j - 1))

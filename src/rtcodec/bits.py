@@ -11,6 +11,8 @@ import numpy as np
 
 BitArray = np.ndarray
 
+UNKNOWN = np.uint8(2)  # sentinel for not-yet-recovered source bits
+
 
 def as_bits(seq) -> BitArray:
     """Coerce a sequence of 0/1 (list, tuple, str, ndarray) to a uint8 array."""
@@ -96,6 +98,38 @@ def run_lengths(bits: BitArray) -> list[tuple[int, int]]:
     changes = np.flatnonzero(np.diff(bits)) + 1
     bounds = np.concatenate(([0], changes, [len(bits)]))
     return [(int(bits[bounds[i]]), int(bounds[i + 1] - bounds[i])) for i in range(len(bounds) - 1)]
+
+
+def column_agreement(rows: np.ndarray) -> np.ndarray:
+    """Per column, whether every row holds the same bit."""
+    return (rows == rows[0]).all(axis=0)
+
+
+def unmarked_intervals(rows: np.ndarray, margin: int, min_run: int, last: int) -> list[tuple[int, int]]:
+    """Read intervals (1-based, inclusive) left unmarked by agreement marking.
+
+    A leading run of agreeing columns is marked up to ``margin`` columns
+    before its end. Every agreement run of at least ``min_run`` columns that
+    starts at or before column ``last`` has its interior marked, keeping
+    ``margin`` columns at each end and marking nothing past column ``last``.
+    """
+    cols = rows.shape[1]
+    runs = agreement_run_starts(column_agreement(rows))
+    marked = np.zeros(cols, dtype=bool)
+    L = int(runs[0]) if cols else 0
+    if L > margin:
+        marked[: L - margin] = True
+    i = 1
+    while i <= last:
+        L = int(runs[i - 1])
+        if L >= min_run:
+            lo, hi = i + margin, min(i + L - 1, last) - margin
+            if lo <= hi:
+                marked[lo - 1 : hi] = True
+        i += max(L, 1)  # a column inside a run starts only a shorter run
+    edges = np.diff(np.concatenate(([1], marked, [1])).astype(np.int8))
+    starts, ends = np.flatnonzero(edges == -1), np.flatnonzero(edges == 1)
+    return [(int(s) + 1, int(e)) for s, e in zip(starts, ends)]
 
 
 def agreement_run_starts(equal: np.ndarray) -> np.ndarray:

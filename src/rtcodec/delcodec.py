@@ -1,7 +1,6 @@
 """End-to-end deletion-correcting codecs.
 
-Two regimes share one pipeline shape (capped track, per-block hashes guarded
-by an outer code, repetition-protected bootstrap hash):
+The layered construction (``layered``) runs in two regimes:
 
 * "pair" (d <= k <= 2d-1): at most one interval can hold d or more deletions,
   it touches at most two adjacent blocks, and the odd/even pair parity
@@ -9,141 +8,51 @@ by an outer code, repetition-protected bootstrap hash):
 * "rs" (k >= 2d): up to 2*(k//d) block hashes can be lost at known positions;
   systematic Reed-Solomon parity restores them.
 
-Intervals with fewer than d deletions are recovered directly from the d reads.
+This module adds what is particular to deletions: per-interval deletion
+counts, and recovery of intervals with fewer than d deletions directly from
+the d reads. Blocks under the other intervals are restored from their hashes.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .algebra import rep_decode, rep_encode
-from .bits import BitArray, as_bits
-from .delsync import (
-    UNKNOWN,
-    IntervalReport,
-    align_and_recover_clean_bits,
-    build_report,
-    recover_interval_multihead,
-)
-from .errors import DecodeFailure, ParamViolation, RtCodecError
-from .hashing import block_bounds
-from .layout import (
-    Layout,
-    bits_to_groups,
-    build_layout,
-    groups_to_bits,
-    pack_group,
-    parity_groups_pair,
-    parity_groups_rs,
-    restore_pair,
-    restore_rs,
-    unpack_group,
-)
+from .bits import BitArray
+from .delsync import align_and_recover_clean_bits, build_report, recover_interval_multihead
+from .errors import DecodeFailure, RtCodecError
+from .layered import blocks_touched, bootstrap, encode_layered, finish, restore_blocks
+from .layout import build_layout
 from .model import BitTrack, ReadMatrix
 from .params import CodeParams
-from .periodicity import cap_periods, uncap_periods
 
-
-def deletion_layout(params: CodeParams) -> Layout:
-    return build_layout(params, params.hasher(), params.rlayer_hasher())
-
-
-def _check_deletion_params(params: CodeParams) -> None:
-    if params.kind != "deletion":
-        raise ParamViolation("deletion codec needs deletion-kind params")
-    if params.d < 2:
-        raise ParamViolation("deletion codec needs at least two heads")
-    if params.regime == "direct" and params.mode == "paper-exact":
-        # k < d is prior-work territory; the pair shape still runs in relaxed
-        # mode so toy codes can be tested exhaustively
-        raise ParamViolation("k < d has no paper-exact deletion construction here")
+deletion_layout = build_layout
 
 
 def encode_deletions(track: BitTrack, params: CodeParams) -> BitArray:
     """Codeword = capped track ‖ outer parity of block hashes ‖ Rep(hash of parity)."""
-    _check_deletion_params(params)
-    return encode_layered(track, params)
-
-
-def encode_layered(track: BitTrack, params: CodeParams) -> BitArray:
-    """Layered construction shared by the deletion and edit codecs."""
-    c = track.bits if isinstance(track, BitTrack) else as_bits(track)
-    if len(c) != params.n:
-        raise ParamViolation(f"track length {len(c)} != n = {params.n}")
-    hasher, rlayer = params.hasher(), params.rlayer_hasher()
-    layout = build_layout(params, hasher, rlayer)
-    f = cap_periods(c, params.k)
-    block_groups = [
-        pack_group(hasher.hash(f[s - 1 : e], params.k), layout) for s, e in layout.blocks
-    ]
-    if params.regime == "pair":
-        parity = parity_groups_pair(block_groups, layout)
-    else:
-        parity = parity_groups_rs(block_groups, layout)
-    r1 = groups_to_bits(parity, layout)
-    r2 = rep_encode(rlayer.hash(r1, params.k), params.k + 1)
-    return np.concatenate([f, r1, r2])
-
-
-def _recover_r1(row1: BitArray, layout: Layout, params: CodeParams, rlayer) -> BitArray:
-    """Bootstrap: repetition-protected hash from the tail, then R1 itself."""
-    N = layout.total
-    sigma = len(row1) - N
-    if layout.n2 == 0:
-        return as_bits([])
-    tail = row1[N - layout.n2 :]
-    try:
-        r1_hash = rep_decode(tail, params.k + 1, msg_len=layout.rlayer_hash_bits)
-    except RtCodecError as e:
-        raise DecodeFailure("rep", str(e)) from e
-    window = row1[layout.f_len : min(layout.f_len + layout.n1 + sigma, len(row1))]
-    try:
-        return rlayer.recover(window, r1_hash, layout.n1, params.k)
-    except RtCodecError as e:
-        raise DecodeFailure("rlayer-hash", str(e)) from e
-
-
-def _blocks_touched(layout: Layout, lo: int, hi: int) -> list[int]:
-    """0-based indices of blocks whose span intersects source range [lo, hi]."""
-    out = []
-    for i, (s, e) in enumerate(layout.blocks):
-        if s <= hi and e >= lo:
-            out.append(i)
-    return out
+    return encode_layered(track, params, "deletion")
 
 
 def decode_deletions(D: ReadMatrix, params: CodeParams) -> BitArray:
     """Recover the stored track from a read matrix with at most k deletions per head."""
-    _check_deletion_params(params)
-    hasher, rlayer = params.hasher(), params.rlayer_hasher()
-    layout = build_layout(params, hasher, rlayer)
-    N = layout.total
-    row1 = D.rows[0]
-    sigma = len(row1) - N
-    if not -params.k <= sigma <= 0:
-        raise DecodeFailure("input", f"read length {len(row1)} incompatible with codeword length {N}")
-
-    r1 = _recover_r1(row1, layout, params, rlayer)
-    parity = bits_to_groups(r1, layout, layout.parity_groups)
-
+    boot = bootstrap(D, params, "deletion")
+    layout = boot.layout
     try:
-        report = build_report(D, params, total_deletions=-sigma)
+        report = build_report(D, params, total_deletions=-boot.sigma)
     except RtCodecError as e:
         raise DecodeFailure("sync", str(e)) from e
 
     est = align_and_recover_clean_bits(D, report, layout.f_len)
-    known_suffix = np.concatenate([r1, rep_encode(rlayer.hash(r1, params.k), params.k + 1)])
-    heavy: list[int] = []
+    heavy: set[int] = set()
     for (rs_, re_), (s, e), cnt in zip(report.read_intervals, report.source_intervals, report.counts):
         if s > layout.f_len:
             continue  # entirely inside recovered redundancy
         crosses = e > layout.f_len
+        upto = min(e, layout.f_len)
         rec = None
         if cnt < params.d:
             segments = [D.rows[w][rs_ - 1 : re_] for w in range(params.d)]
             # intervals reaching into R1/R2 have those candidate bits pinned
             pinned = {
-                p - s + 1: int(known_suffix[p - layout.f_len - 1])
+                p - s + 1: int(boot.tail[p - layout.f_len - 1])
                 for p in range(max(s, layout.f_len + 1), e + 1)
             }
             try:
@@ -151,75 +60,19 @@ def decode_deletions(D: ReadMatrix, params: CodeParams) -> BitArray:
                     segments,
                     cnt,
                     params.geometry,
-                    period_filter=(min(e, layout.f_len) - s + 1, params.k, params.T),
+                    period_filter=(upto - s + 1, params.k, params.T),
                     pinned=pinned or None,
                     budget=8192 if crosses else 250_000,
                 )
             except RtCodecError as err:
                 if not crosses:
                     raise DecodeFailure("interval", str(err)) from err
-                rec = None  # fall back to the block-hash erasure path
+                # fall back to the block-hash erasure path
         if rec is None:
-            heavy.extend(_blocks_touched(layout, s, min(e, layout.f_len)))
-            continue
-        upto = min(e, layout.f_len)
-        est[s - 1 : upto] = rec[: upto - s + 1]
-
-    heavy = sorted(set(heavy))
-    if heavy:
-        est = _restore_heavy_blocks(est, heavy, row1, sigma, parity, layout, params, hasher)
-
-    if (est == UNKNOWN).any():
-        raise DecodeFailure("assemble", "unrecovered positions remain")
-    try:
-        return uncap_periods(est, params.k, params.n)
-    except RtCodecError as e:
-        raise DecodeFailure("invert", str(e)) from e
-
-
-def _restore_heavy_blocks(
-    est: BitArray,
-    heavy: list[int],
-    row1: BitArray,
-    sigma: int,
-    parity: list[list[int]],
-    layout: Layout,
-    params: CodeParams,
-    hasher,
-) -> BitArray:
-    """Treat heavy blocks' hashes as erasures, restore them, re-pin the blocks."""
-    if params.regime == "pair":
-        if len(heavy) > 2 or (len(heavy) == 2 and heavy[1] - heavy[0] != 1):
-            raise DecodeFailure("erasure", f"pair parity cannot restore blocks {heavy}")
-    else:
-        if len(heavy) > layout.parity_groups:
-            raise DecodeFailure("erasure", f"{len(heavy)} erased blocks exceed parity {layout.parity_groups}")
-    block_groups: list[list[int] | None] = []
-    for i, (s, e) in enumerate(layout.blocks):
-        if i in heavy:
-            block_groups.append(None)
-            continue
-        chunk = est[s - 1 : e]
-        if (chunk == UNKNOWN).any():
-            raise DecodeFailure("erasure", f"block {i + 1} incomplete outside the heavy set")
-        block_groups.append(pack_group(hasher.hash(chunk, params.k), layout))
-    try:
-        if params.regime == "pair":
-            restored = restore_pair(block_groups, parity, layout)
+            heavy.update(blocks_touched(layout, s, upto))
         else:
-            restored, _ = restore_rs(block_groups, parity, layout, max_errors=0)
-    except RtCodecError as e:
-        raise DecodeFailure("erasure", str(e)) from e
-    out = est.copy()
-    for i in heavy:
-        s, e = layout.blocks[i]
-        size = e - s + 1
-        h = unpack_group(restored[i], layout, hasher.hash_len(size, params.k))
-        lo = s - 1
-        hi = min(e + sigma, len(row1))
-        window = row1[lo:hi] if hi > lo else row1[lo:lo]
-        try:
-            out[s - 1 : e] = hasher.recover(window, h, size, params.k)
-        except RtCodecError as err:
-            raise DecodeFailure("hash-recovery", str(err)) from err
-    return out
+            est[s - 1 : upto] = rec[: upto - s + 1]
+
+    if heavy:
+        est, _ = restore_blocks(est, sorted(heavy), boot.parity, layout, params, boot.row1, boot.sigma, 0)
+    return finish(est, boot.tail, D, params)

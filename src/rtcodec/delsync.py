@@ -18,13 +18,11 @@ from math import comb
 
 import numpy as np
 
-from .bits import BitArray, agreement_run_starts, as_bits
+from .bits import UNKNOWN, BitArray, as_bits, unmarked_intervals
 from .errors import Ambiguous, BudgetExceeded, MajorityTie, NoCandidate
 from .model import HeadGeometry, ReadMatrix
 from .params import CodeParams
 from .periodicity import max_periodic_run
-
-UNKNOWN = np.uint8(2)  # sentinel for not-yet-recovered source bits
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,6 @@ class ShiftProbeTable:
     majority: int
 
 
-def _column_agreement(rows: np.ndarray) -> np.ndarray:
-    return (rows == rows[0]).all(axis=0)
-
-
 def identify_intervals(D: ReadMatrix, params: CodeParams) -> list[tuple[int, int]]:
     """Unmarked-interval identification over read columns (1-based, inclusive).
 
@@ -74,42 +68,9 @@ def identify_intervals(D: ReadMatrix, params: CodeParams) -> list[tuple[int, int
     and never marking past column n+1; returns all unmarked intervals, or the
     k with smallest starts when there are more.
     """
-    rows = D.rows
-    cols = rows.shape[1]
-    n, k, t_max = params.n, params.k, params.geometry.t_max
-    T = params.T
-    runs = agreement_run_starts(_column_agreement(rows))
-    marked = np.zeros(cols, dtype=bool)
-    # initialization pass: a long agreement prefix is safe up to L - t_max
-    L = int(runs[0]) if cols else 0
-    if L > t_max:
-        marked[: L - t_max] = True
-    i = 1
-    scan_end = min(n + 1, cols)
-    while i <= scan_end:
-        L = int(runs[i - 1])
-        if L >= 2 * t_max + T + 1:
-            lo = i + t_max
-            hi = min(i + L - 1, n + 1) - t_max
-            if lo <= hi:
-                marked[lo - 1 : hi] = True
-            i += L
-        else:
-            i += max(L, 1)  # no column inside a short run can open a long one
-    intervals = []
-    pos = 0
-    while pos < cols:
-        if marked[pos]:
-            pos += 1
-            continue
-        end = pos
-        while end + 1 < cols and not marked[end + 1]:
-            end += 1
-        intervals.append((pos + 1, end + 1))
-        pos = end + 1
-    if len(intervals) > k:
-        intervals = intervals[:k]
-    return intervals
+    t_max = params.geometry.t_max
+    last = min(params.n + 1, D.cols)
+    return unmarked_intervals(D.rows, t_max, 2 * t_max + params.T + 1, last)[: params.k]
 
 
 def count_deletions_in_interval(

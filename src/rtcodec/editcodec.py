@@ -14,6 +14,10 @@ blocks, trusted ones contribute spliced estimates, undetectable clusters are
 absorbed as block substitutions, and a per-choice error budget derived from
 the reduction outcomes rejects impossible choices. Accepted choices must also
 re-verify against every read row within the global edit budget.
+
+The codeword layers, the block restore and that final check are shared with
+the deletion codec (``layered``); this module adds head reduction and the
+choice enumeration.
 """
 
 from __future__ import annotations
@@ -23,29 +27,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import rep_encode
-from .bits import BitArray, as_bits, edit_distance_at_most
-from .delcodec import _blocks_touched, _recover_r1
-from .editsync import (
-    UNKNOWN,
-    EditIntervalReport,
-    build_edit_report,
-    head_reduction_recover,
-    recover_outside_bits,
-)
-from .errors import DecodeFailure, ParamViolation, ReductionStuck, RtCodecError
-from .layout import (
-    Layout,
-    bits_to_groups,
-    build_layout,
-    pack_group,
-    restore_pair,
-    restore_rs,
-    unpack_group,
-)
+from .bits import BitArray
+from .editsync import build_edit_report, head_reduction_recover, recover_outside_bits
+from .errors import DecodeFailure, ReductionStuck, RtCodecError
+from .layered import Bootstrap, blocks_touched, bootstrap, encode_layered, finish, restore_blocks
+from .layout import build_layout
 from .model import BitTrack, ReadMatrix
 from .params import CodeParams
-from .periodicity import cap_periods, uncap_periods
 
 
 @dataclass
@@ -81,47 +69,20 @@ class EditDecodeInfo:
     accepted_choices: list[tuple[int, ...]] = field(default_factory=list)
 
 
-def edit_layout(params: CodeParams) -> Layout:
-    return build_layout(params, params.hasher(), params.rlayer_hasher())
-
-
-def _check_edit_params(params: CodeParams) -> None:
-    if params.kind != "edit":
-        raise ParamViolation("edit codec needs edit-kind params")
-    if params.d < 2:
-        raise ParamViolation("edit codec needs at least two heads")
+edit_layout = build_layout
 
 
 def encode_edits(track: BitTrack, params: CodeParams) -> BitArray:
     """k<d: the capped track alone; otherwise capped track + hash parity layers."""
-    _check_edit_params(params)
-    c = track.bits if isinstance(track, BitTrack) else as_bits(track)
-    if len(c) != params.n:
-        raise ParamViolation(f"track length {len(c)} != n = {params.n}")
-    if params.regime == "direct":
-        return cap_periods(c, params.k)
-    from .delcodec import encode_layered
-
-    return encode_layered(track, params)
+    return encode_layered(track, params, "edit")
 
 
 def decode_edits(E: ReadMatrix, params: CodeParams, return_info: bool = False):
     """Recover the stored track from reads with at most k mixed edits per head."""
-    _check_edit_params(params)
-    hasher, rlayer = params.hasher(), params.rlayer_hasher()
-    layout = build_layout(params, hasher, rlayer)
-    N = layout.total
-    row1 = E.rows[0]
-    sigma = len(row1) - N
-    if abs(sigma) > params.k:
-        raise DecodeFailure("input", f"read length {len(row1)} incompatible with codeword length {N}")
-    f_len = layout.f_len
-
-    r1 = _recover_r1(row1, layout, params, rlayer) if layout.n1 else as_bits([])
-    parity = bits_to_groups(r1, layout, layout.parity_groups)
-
+    boot = bootstrap(E, params, "edit")
+    f_len = boot.layout.f_len
     try:
-        report = build_edit_report(E, params, total_shift=sigma)
+        report = build_edit_report(E, params, total_shift=boot.sigma)
     except RtCodecError as e:
         raise DecodeFailure("sync", str(e)) from e
     est0 = recover_outside_bits(E, report, f_len)
@@ -145,10 +106,8 @@ def decode_edits(E: ReadMatrix, params: CodeParams, return_info: bool = False):
         )
 
     if params.regime == "direct":
-        return _decode_direct(est0, outcomes, layout, params, E, return_info)
-    return _decode_with_choices(
-        est0, outcomes, parity, r1, layout, params, E, row1, sigma, hasher, rlayer, return_info
-    )
+        return _decode_direct(est0, outcomes, boot, params, E, return_info)
+    return _decode_with_choices(est0, outcomes, boot, params, E, return_info)
 
 
 def _splice(est: BitArray, outcome: IntervalOutcome, f_len: int) -> None:
@@ -159,49 +118,27 @@ def _splice(est: BitArray, outcome: IntervalOutcome, f_len: int) -> None:
     est[lo2 - 1 : hi2] = outcome.estimate[lo2 - lo : hi2 - lo + 1]
 
 
-def _verify_rows(codeword: BitArray, E: ReadMatrix, k: int) -> bool:
-    for w in range(E.rows.shape[0]):
-        if edit_distance_at_most(codeword, E.rows[w], k) is None:
-            return False
-    return True
-
-
-def _decode_direct(est0, outcomes, layout, params, E, return_info):
+def _decode_direct(est0, outcomes, boot: Bootstrap, params, E, return_info):
     est = est0.copy()
     for oc in outcomes:
         if not oc.touches_track:
             continue
         if oc.estimate is None:
             raise DecodeFailure("interval", "head reduction stuck with k < d")
-        _splice(est, oc, layout.f_len)
-    if (est == UNKNOWN).any():
-        raise DecodeFailure("assemble", "unrecovered positions remain")
-    try:
-        out = uncap_periods(est, params.k, params.n)
-    except RtCodecError as e:
-        raise DecodeFailure("invert", str(e)) from e
-    codeword = cap_periods(out, params.k)
-    if not _verify_rows(codeword, E, params.k):
-        raise DecodeFailure("verify", "decoded track does not reproduce the reads")
+        _splice(est, oc, boot.layout.f_len)
+    out = finish(est, boot.tail, E, params)
     if return_info:
-        info = EditDecodeInfo(outcomes=outcomes, accepted_choices=[()])
-        return out, info
+        return out, EditDecodeInfo(outcomes=outcomes, accepted_choices=[()])
     return out
 
 
-def _decode_with_choices(
-    est0, outcomes, parity, r1, layout, params, E, row1, sigma, hasher, rlayer, return_info
-):
-    d, k = params.d, params.k
-    f_len = layout.f_len
+def _decode_with_choices(est0, outcomes, boot: Bootstrap, params, E, return_info):
     candidates = [j for j, oc in enumerate(outcomes) if oc.touches_track]
-    forced = [
-        j for j, oc in enumerate(outcomes) if oc.touches_track and oc.estimate is None
-    ]
-    choices: list[tuple[int, ...]] = []
+    forced = [j for j in candidates if outcomes[j].estimate is None]
     optional = [j for j in candidates if j not in forced]
     # only one interval can defeat head reduction below k = 2d
     max_extra = 1 if params.regime == "pair" else len(optional)
+    choices: list[tuple[int, ...]] = []
     for size in range(0, min(max_extra, len(optional)) + 1):
         for extra in combinations(optional, size):
             choices.append(tuple(sorted(set(forced) | set(extra))))
@@ -209,9 +146,7 @@ def _decode_with_choices(
     last_error = "no choice satisfied the budget"
     for chosen in choices:
         try:
-            out, info = _try_choice(
-                chosen, est0, outcomes, parity, r1, layout, params, E, row1, sigma, hasher, rlayer
-            )
+            out, info = _try_choice(chosen, est0, outcomes, boot, params, E)
         except RtCodecError as e:
             last_error = str(e)
             continue
@@ -231,11 +166,10 @@ def _decode_with_choices(
     return out
 
 
-def _try_choice(
-    chosen, est0, outcomes, parity, r1, layout, params, E, row1, sigma, hasher, rlayer
-):
+def _try_choice(chosen, est0, outcomes, boot: Bootstrap, params, E):
+    """Erase the blocks of the distrusted intervals, splice the trusted estimates."""
     d, k = params.d, params.k
-    f_len = layout.f_len
+    layout = boot.layout
     budget = sum(oc.budget_term(d, j in chosen) for j, oc in enumerate(outcomes))
     if budget > k:
         raise DecodeFailure("budget", f"choice needs {budget} errors, only {k} allowed")
@@ -246,51 +180,13 @@ def _try_choice(
             continue
         if j in chosen:
             lo, hi = oc.source_span
-            erased.update(_blocks_touched(layout, max(lo, 1), min(hi, f_len)))
+            erased.update(blocks_touched(layout, max(lo, 1), min(hi, layout.f_len)))
         else:
-            _splice(est, oc, f_len)
-    erased_list = sorted(erased)
-    if params.regime == "pair":
-        if len(erased_list) > 2 or (len(erased_list) == 2 and erased_list[1] - erased_list[0] != 1):
-            raise DecodeFailure("erasure", f"pair parity cannot restore blocks {erased_list}")
-        max_subs = 0
-    else:
-        max_subs = 2 * ((k - budget) // (2 * d))
-        if 2 * max_subs + len(erased_list) > layout.parity_groups:
-            max_subs = max(0, (layout.parity_groups - len(erased_list)) // 2)
-    block_groups: list[list[int] | None] = []
-    for i, (s, e) in enumerate(layout.blocks):
-        if i in erased_list:
-            block_groups.append(None)
-            continue
-        chunk = est[s - 1 : e]
-        if (chunk == UNKNOWN).any():
-            raise DecodeFailure("assemble", f"block {i + 1} incomplete under this choice")
-        block_groups.append(pack_group(hasher.hash(chunk, params.k), layout))
-    substituted: list[int] = []
-    if params.regime == "pair":
-        restored = restore_pair(block_groups, parity, layout)
-    else:
-        restored, substituted = restore_rs(block_groups, parity, layout, max_errors=max_subs)
-    out_est = est.copy()
-    for i in sorted(set(erased_list) | set(substituted)):
-        s, e = layout.blocks[i]
-        size = e - s + 1
-        h = unpack_group(restored[i], layout, hasher.hash_len(size, params.k))
-        lo = s - 1
-        hi = min(max(e + sigma, lo), len(row1))
-        window = row1[lo:hi]
-        out_est[s - 1 : e] = hasher.recover(window, h, size, params.k)
-    if (out_est == UNKNOWN).any():
-        raise DecodeFailure("assemble", "unrecovered positions remain")
-    out = uncap_periods(out_est, params.k, params.n)
-    codeword = np.concatenate(
-        [out_est, r1, rep_encode(rlayer.hash(r1, params.k), params.k + 1)]
+            _splice(est, oc, layout.f_len)
+    # the errors the choice leaves unaccounted for can substitute whole blocks
+    max_subs = 2 * ((k - budget) // (2 * d))
+    est, substituted = restore_blocks(
+        est, sorted(erased), boot.parity, layout, params, boot.row1, boot.sigma, max_subs
     )
-    recheck = cap_periods(out, params.k)
-    if not np.array_equal(recheck, out_est):
-        raise DecodeFailure("verify", "estimate is not a valid capped track")
-    if not _verify_rows(codeword, E, params.k):
-        raise DecodeFailure("verify", "decoded codeword does not reproduce the reads")
-    info = EditDecodeInfo(chosen=chosen, budget=budget, substituted_blocks=tuple(substituted))
-    return out, info
+    out = finish(est, boot.tail, E, params)
+    return out, EditDecodeInfo(chosen=chosen, budget=budget, substituted_blocks=tuple(substituted))

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitArray, agreement_run_starts
+from .bits import UNKNOWN, BitArray, column_agreement, unmarked_intervals
 from .errors import MajorityTie, ReductionStuck
 from .model import ReadMatrix
 from .params import CodeParams
-
-UNKNOWN = np.uint8(2)
 
 
 @dataclass(frozen=True)
@@ -56,10 +54,6 @@ class ReductionStep:
     cut_shift: int
 
 
-def _column_agreement(rows: np.ndarray) -> np.ndarray:
-    return (rows == rows[0]).all(axis=0)
-
-
 def edit_margin(params: CodeParams) -> int:
     t = params.geometry.distances[0]
     return params.k * params.d * t + t
@@ -67,37 +61,8 @@ def edit_margin(params: CodeParams) -> int:
 
 def identify_edit_intervals(E: ReadMatrix, params: CodeParams) -> list[tuple[int, int]]:
     """All unmarked intervals of the edit marking procedure (1-based, inclusive)."""
-    rows = E.rows
-    cols = rows.shape[1]
     margin = edit_margin(params)
-    runs = agreement_run_starts(_column_agreement(rows))
-    marked = np.zeros(cols, dtype=bool)
-    L = int(runs[0]) if cols else 0
-    if L > margin:
-        marked[: L - margin] = True
-    i = 1
-    while i <= cols:
-        L = int(runs[i - 1])
-        if L >= 2 * margin + 1:
-            lo = i + margin
-            hi = min(i + L - 1, cols) - margin
-            if lo <= hi:
-                marked[lo - 1 : hi] = True
-            i += L + 1
-        else:
-            i += max(L, 1)
-    intervals = []
-    pos = 0
-    while pos < cols:
-        if marked[pos]:
-            pos += 1
-            continue
-        end = pos
-        while end + 1 < cols and not marked[end + 1]:
-            end += 1
-        intervals.append((pos + 1, end + 1))
-        pos = end + 1
-    return intervals
+    return unmarked_intervals(E.rows, margin, 2 * margin + 1, E.cols)
 
 
 def _probe_shift(rowA: BitArray, rowB: BitArray, a: int, b: int, k: int) -> int | None:
@@ -133,7 +98,7 @@ def net_shift_of_interval(E: ReadMatrix, interval: tuple[int, int], params: Code
     row1, row2 = E.rows[0], E.rows[1]
     if np.array_equal(row1[b1 - 1 : b2], row2[b1 - 1 : b2]) and E.rows.shape[0] == 2:
         return 0
-    if _column_agreement(E.rows)[b1 - 1 : b2].all():
+    if column_agreement(E.rows)[b1 - 1 : b2].all():
         return 0
     k, T = params.k, params.T
     t = params.geometry.distances[0]
@@ -173,7 +138,7 @@ def build_edit_report(
     the last column and may cover uncapped redundancy) gets the remainder.
     """
     intervals = identify_edit_intervals(E, params)
-    agree = _column_agreement(E.rows)
+    agree = column_agreement(E.rows)
     capped_end = params.n + params.k + 1
     shifts, qs = [], []
     for b1, b2 in intervals:
@@ -241,7 +206,7 @@ def head_reduction_recover(
         d_cur = len(rows)
         m_cur = len(rows[0])
         stacked = np.stack(rows)
-        disagree = np.flatnonzero(~(stacked == stacked[0]).all(axis=0))
+        disagree = np.flatnonzero(~column_agreement(stacked))
         if len(disagree) == 0:
             result = (rows[0].copy(), d_cur)
             return (*result, trace) if collect_trace else result

@@ -11,16 +11,16 @@ from __future__ import annotations
 import os
 import random
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import ceil_log2
-from .delcodec import decode_deletions, deletion_layout, encode_deletions
-from .editcodec import decode_edits, edit_layout, encode_edits
+from .delcodec import decode_deletions, encode_deletions
+from .editcodec import decode_edits, encode_edits
 from .errors import BudgetExceeded, DecodeFailure, RtCodecError
 from .hashing import ColoringHasher, VtHasher, make_hasher
+from .layout import build_layout
 from .model import (
     BitTrack,
     apply_deletions,
@@ -111,6 +111,9 @@ def run_one_trial(params: CodeParams, mode: str, seed: int, index: int) -> dict:
         return {"trial": index, "ok": False, "stage": e.stage}
     except RtCodecError as e:
         return {"trial": index, "ok": False, "stage": type(e).__name__}
+    except Exception as e:  # a bug, not a decode outcome: report it, keep the campaign going
+        traceback.print_exc()
+        return {"trial": index, "ok": False, "stage": f"crash:{type(e).__name__}"}
     ok = bool(np.array_equal(out, msg.bits))
     return {"trial": index, "ok": ok, "stage": None if ok else "mismatch"}
 
@@ -129,7 +132,7 @@ def worker_cap() -> int | None:
 def run_trials(cfg: dict, seed: int, trials: int, workers: int | None = None, stable_report: bool = False) -> dict:
     validate_trial_config(cfg)
     params = params_from_config(cfg)
-    layout = deletion_layout(params) if cfg["mode"] == "del" else edit_layout(params)
+    layout = build_layout(params)
     workers = max(1, workers or 1)
     cap = worker_cap()
     if cap is not None:

@@ -14,7 +14,7 @@ color pins at most one sequence even under mixed edits.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cache
 
 import numpy as np
 
@@ -279,6 +279,7 @@ _REGISTRY = {
 }
 
 
+@cache  # one instance per setting, so coloring tables are built once
 def make_hasher(name: str, coloring_budget: int = 16) -> DeletionHasher:
     if name not in _REGISTRY:
         raise ValueError(f"unknown hasher {name!r}; choose from {sorted(_REGISTRY)}")

@@ -17,7 +17,7 @@ import numpy as np
 from .bits import BitArray, as_bits, bits_from_int
 from .errors import DecodeFailure, ParamViolation
 from .gf import GF
-from .hashing import DeletionHasher, block_bounds
+from .hashing import block_bounds
 from .algebra import (
     SymbolString,
     oddeven_restore,
@@ -68,13 +68,15 @@ class Layout:
         }
 
 
-def build_layout(params: CodeParams, hasher: DeletionHasher, rlayer: DeletionHasher) -> Layout:
+def build_layout(params: CodeParams) -> Layout:
+    """Segment geometry of the codeword for ``params`` (either codec)."""
     f_len = params.n + params.k + 1
     blocks = tuple(block_bounds(f_len, params.block_len))
     if params.regime == "direct" and params.kind == "edit":
         parity_groups = 0
         H = g = 0
     else:
+        hasher = params.hasher()
         H = max(hasher.hash_len(e - s + 1, params.k) for s, e in blocks)
         g = (H + params.symbol_bits - 1) // params.symbol_bits
         parity_groups = params.rs_parity_blocks if params.regime == "rs" else 2
@@ -85,7 +87,7 @@ def build_layout(params: CodeParams, hasher: DeletionHasher, rlayer: DeletionHas
                     f"{len(blocks)}+{parity_groups} symbols exceed GF(2^{params.symbol_bits}); use symbol_bits=16"
                 )
     n1 = parity_groups * g * params.symbol_bits
-    rlayer_bits = rlayer.hash_len(n1, params.k) if n1 else 0
+    rlayer_bits = params.rlayer_hasher().hash_len(n1, params.k) if n1 else 0
     return Layout(
         n=params.n,
         k=params.k,

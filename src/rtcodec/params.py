@@ -8,22 +8,17 @@ constants for exhaustive desk-scale testing and carries no guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .bits import ceil_log2
 from .errors import ParamViolation
 from .hashing import DeletionHasher, make_hasher
 from .model import HeadGeometry
-
-
-def period_bound(n: int, k: int) -> int:
-    """Cap on the longest period-<=k window of a capped track: 3k + ceil(log2 n) + 2."""
-    return 3 * k + ceil_log2(n) + 2
+from .periodicity import period_cap
 
 
 def deletion_min_head_distance(n: int, k: int) -> int:
     """Head-distance lower bound for the deletion-mode guarantees."""
-    T = period_bound(n, k)
+    T = period_cap(n, k)
     interval_recovery = T * (k * (k - 1) // 2 + 1) + (7 * k - k**3) // 6
     sync = (4 * k + 1) * (T + 2 * k + 1)
     return max(interval_recovery, sync)
@@ -31,7 +26,7 @@ def deletion_min_head_distance(n: int, k: int) -> int:
 
 def sync_min_head_distance(n: int, k: int) -> int:
     """Distance needed by interval identification and counting alone."""
-    return (4 * k + 1) * (period_bound(n, k) + 2 * k + 1)
+    return (4 * k + 1) * (period_cap(n, k) + 2 * k + 1)
 
 
 def edit_min_head_distance(n: int, k: int) -> int:
@@ -41,7 +36,7 @@ def edit_min_head_distance(n: int, k: int) -> int:
     exact quarters) with the disjoint-window requirement of net-shift
     determination, which the former does not imply for small k.
     """
-    T = period_bound(n, k)
+    T = period_cap(n, k)
     quarters = (k * k + 12 * k) * (T + 3 * k + 1) + 4 * (T + 5 * k + 1)
     reduction = quarters // 4 + 1
     net_shift = (4 * k + 1) * (T + 4 * k + 1) + 1
@@ -84,6 +79,13 @@ class CodeParams:
             raise ParamViolation(f"unknown mode {self.mode!r}")
         if self.block_len <= self.k:
             raise ParamViolation("block length must exceed k")
+        if self.symbol_bits not in (8, 16):
+            raise ParamViolation(f"symbol_bits must be a GF width, 8 or 16, got {self.symbol_bits!r}")
+        for key in ("hash_mode", "rlayer_hash_mode"):
+            try:
+                make_hasher(getattr(self, key), self.coloring_budget)
+            except ValueError as e:
+                raise ParamViolation(f"{key}: {e}") from e
         if self.mode == "paper-exact":
             self._validate_paper_exact()
 
@@ -118,7 +120,7 @@ class CodeParams:
     ) -> "CodeParams":
         t = deletion_min_head_distance(n, k) if t is None else t
         geometry = HeadGeometry.equispaced(d, t)
-        T = period_bound(n, k)
+        T = period_cap(n, k)
         return cls(
             n=n,
             k=k,
@@ -150,7 +152,7 @@ class CodeParams:
             k=k,
             geometry=HeadGeometry.equispaced(d, t),
             kind="edit",
-            T=period_bound(n, k),
+            T=period_cap(n, k),
             block_len=edit_block_len(t, k, d),
             hash_mode=hash_mode,
             rlayer_hash_mode=rlayer_hash_mode,
@@ -174,7 +176,7 @@ class CodeParams:
     ) -> "CodeParams":
         """Unchecked small constants for exhaustive testing; no guarantees."""
         geometry = HeadGeometry(distances)
-        T = period_bound(n, k) if T is None else T
+        T = period_cap(n, k) if T is None else T
         if block_len is None:
             block_len = (
                 deletion_block_len(geometry.t_max, T, k, geometry.d)
@@ -251,13 +253,6 @@ class CodeParams:
         t = data["t"]
         if not isinstance(t, list) or not all(_has_type(x, int) for x in t):
             raise ParamViolation(f"parameter 't' must be a list of ints, got {t!r}")
-        if data.get("symbol_bits", 8) not in (8, 16):
-            raise ParamViolation(f"parameter 'symbol_bits' must be a GF width, 8 or 16, got {data['symbol_bits']!r}")
-        for key in ("hash_mode", "rlayer_hash_mode"):
-            try:
-                make_hasher(data[key])
-            except ValueError as e:
-                raise ParamViolation(f"parameter {key!r}: {e}") from e
         try:
             geometry = HeadGeometry(tuple(t))
         except ValueError as e:

@@ -10,6 +10,7 @@ import pytest
 from rtcodec.bits import format_track
 from rtcodec.cli import main
 from rtcodec.files import read_matrix, read_track
+from rtcodec.params import CodeParams
 
 
 def write_random_track(path: Path, n: int, seed: int) -> None:
@@ -162,3 +163,47 @@ def test_decode_bad_sidecar_is_config_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_repeated_main_calls_do_not_share_state(tmp_path):
+    """One parser serves every call; flags of one call never reach the next."""
+    from rtcodec.cli import build_parser
+
+    assert build_parser() is build_parser()
+    msg = tmp_path / "msg.track"
+    write_random_track(msg, 128, 8)
+    args = ["encode", "--in", str(msg), "--d", "2"]
+    runs = {
+        "edit": ["--k", "1", "--mode", "edit", "--hash", "vt"],
+        "relaxed": ["--k", "2", "--relaxed", "--t", "40"],
+        "plain": ["--k", "2"],
+    }
+    for name, extra in runs.items():
+        assert main([*args, "--out", str(tmp_path / name), *extra]) == 0
+        assert main(["oracle", "fsweep", "--max-n", "4", "--max-k", "1", "--out", str(tmp_path / "o.json")]) == 0
+    seen = {}
+    for name in runs:
+        p = json.loads((tmp_path / f"{name}.json").read_text())["params"]
+        seen[name] = (p["kind"], p["mode"], p["hash_mode"], p["t"])
+    assert seen["edit"][:3] == ("edit", "paper-exact", "vt")
+    assert seen["relaxed"] == ("deletion", "relaxed", "identity", [40])
+    assert seen["plain"][:3] == ("deletion", "paper-exact", "identity")
+    assert seen["plain"][3] == list(CodeParams.deletion(128, 2, 2).geometry.distances)
+
+
+def test_trial_records_crashes(tmp_path, monkeypatch):
+    """A decoder bug is a failed trial with stage crash:<Type>, and the campaign fails."""
+    from rtcodec import harness
+
+    def broken(matrix, params):
+        raise IndexError("decoder bug")
+
+    monkeypatch.setattr(harness, "decode_deletions", broken)
+    cfg = {"mode": "del", "n": 64, "k": 2, "d": 2, "trials": 3, "seed": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert main(["trial", "--config", str(cfg_path), "--out", str(out), "--stable-report"]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["successes"] == 0
+    assert doc["stage_histogram"] == {"crash:IndexError": 3}

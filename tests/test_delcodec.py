@@ -144,3 +144,19 @@ def test_truncated_matrix_rejected():
     bad = ReadMatrix(D.rows[:, :-10], kind="deletion")
     with pytest.raises(DecodeFailure):
         decode_deletions(bad, params)
+
+
+def test_read_check_rejects_dropped_interval():
+    """A bit flip whose interval the k-interval truncation drops must not decode silently."""
+    from rtcodec.model import ReadMatrix
+
+    params = CodeParams.deletion(4096, 2, 2)
+    rng = random.Random(3)
+    msg = BitTrack([rng.randrange(2) for _ in range(4096)])
+    cw = BitTrack(encode_deletions(msg, params))
+    D = apply_deletions(cw, DeletionPattern((200, 1500)), params.geometry)
+    rows = D.rows.copy()
+    rows[0, 2600] ^= 1
+    with pytest.raises(DecodeFailure) as err:
+        decode_deletions(ReadMatrix(rows, kind="deletion"), params)
+    assert err.value.stage == "verify"
