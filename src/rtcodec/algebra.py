@@ -227,10 +227,6 @@ def oddeven_restore(symbols: list[int | None], parity: tuple[int, int]) -> list[
     return out
 
 
-def oddeven_check(symbols, parity: tuple[int, int]) -> bool:
-    return oddeven_parity(symbols) == tuple(parity)
-
-
 # ---------------------------------------------------------------------------
 # Repetition code
 

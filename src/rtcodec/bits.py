@@ -29,10 +29,6 @@ def as_bits(seq) -> BitArray:
     return arr
 
 
-def bits_to_str(bits: BitArray) -> str:
-    return "".join("1" if b else "0" for b in bits)
-
-
 def bits_from_int(value: int, width: int) -> BitArray:
     """MSB-first fixed-width binary expansion."""
     if value < 0 or (width < 64 and value >= (1 << width)):
@@ -91,15 +87,6 @@ def parse_track(text: str) -> BitArray:
     return as_bits(payload)
 
 
-def run_lengths(bits: BitArray) -> list[tuple[int, int]]:
-    """Maximal runs as (value, length) pairs."""
-    if len(bits) == 0:
-        return []
-    changes = np.flatnonzero(np.diff(bits)) + 1
-    bounds = np.concatenate(([0], changes, [len(bits)]))
-    return [(int(bits[bounds[i]]), int(bounds[i + 1] - bounds[i])) for i in range(len(bounds) - 1)]
-
-
 def column_agreement(rows: np.ndarray) -> np.ndarray:
     """Per column, whether every row holds the same bit."""
     return (rows == rows[0]).all(axis=0)
@@ -135,10 +122,10 @@ def unmarked_intervals(rows: np.ndarray, margin: int, min_run: int, last: int) -
 def agreement_run_starts(equal: np.ndarray) -> np.ndarray:
     """For each index i, the length of the True-run of ``equal`` starting at i."""
     n = len(equal)
-    out = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        out[i] = out[i + 1] + 1 if equal[i] else 0
-    return out[:n]
+    idx = np.arange(n, dtype=np.int64)
+    # the first False at or after each index (n if none): a reverse running minimum
+    nxt = np.minimum.accumulate(np.where(equal, n, idx)[::-1])[::-1]
+    return nxt - idx
 
 
 def edit_distance_at_most(a: BitArray, b: BitArray, limit: int) -> int | None:

@@ -36,6 +36,7 @@ from .model import (
     sample_edit_pattern,
 )
 from .params import CodeParams
+from .trace import Trace
 
 EXIT_OK = 0
 EXIT_DECODE = 2
@@ -103,7 +104,7 @@ def _parse_positions(text: str) -> tuple[int, ...]:
 def cmd_corrupt(args) -> int:
     try:
         cw, params = files.read_codeword(args.infile)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         raise CliError(EXIT_IO, f"cannot read codeword: {e}") from e
     except ParamViolation as e:
         raise CliError(EXIT_CONFIG, f"bad sidecar parameters: {e}") from e
@@ -146,31 +147,29 @@ def cmd_decode(args) -> int:
         doc = _load_json(args.sidecar)
         if not isinstance(doc, dict):
             raise ParamViolation("sidecar is not a JSON object")
-        params = CodeParams.from_dict(doc["params"])
+        params = CodeParams.from_dict(doc.get("params"))
     except (OSError, ValueError, KeyError) as e:
         raise CliError(EXIT_IO, f"cannot read inputs: {e}") from e
     except ParamViolation as e:
         raise CliError(EXIT_CONFIG, f"bad sidecar parameters: {e}") from e
     report: dict = {"schema_version": 1, "kind": params.kind}
+    trace = Trace()
+    decode = decode_deletions if params.kind == "deletion" else decode_edits
     try:
-        if params.kind == "deletion":
-            out = decode_deletions(matrix, params)
-        else:
-            out = decode_edits(matrix, params)
+        out = decode(matrix, params, trace)
     except DecodeFailure as e:
         report.update({"ok": False, "stage": e.stage, "error": str(e)})
-        if args.report:
-            Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
         print(f"decode failed at stage {e.stage}: {e}", file=sys.stderr)
-        return EXIT_DECODE
     except RtCodecError as e:
         raise CliError(EXIT_CONFIG, f"parameters unusable for decoding: {e}") from e
-    files.write_track(args.out, out)
-    report.update({"ok": True, "bits": len(out)})
+    else:
+        files.write_track(args.out, out)
+        report.update({"ok": True, "bits": len(out)})
+        print(f"wrote {len(out)}-bit track to {args.out}")
     if args.report:
+        report["trace"] = trace.to_dict()
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {len(out)}-bit track to {args.out}")
-    return EXIT_OK
+    return EXIT_OK if report["ok"] else EXIT_DECODE
 
 
 def cmd_trial(args) -> int:
@@ -182,7 +181,7 @@ def cmd_trial(args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     trials = args.trials if args.trials is not None else cfg.get("trials", 100)
     try:
-        report = run_trials(cfg, seed, trials, workers=args.workers, stable_report=args.stable_report)
+        report = run_trials(cfg, seed, trials, stable_report=args.stable_report)
     except (ParamViolation, ValueError) as e:
         raise CliError(EXIT_CONFIG, str(e)) from e
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -275,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--seed", type=int)
     tri.add_argument("--trials", type=int)
     tri.add_argument("--out")
-    tri.add_argument("--workers", type=int, default=1)
     tri.add_argument("--stable-report", action="store_true", help="omit wall-clock for byte-identical reruns")
     tri.set_defaults(func=cmd_trial)
 

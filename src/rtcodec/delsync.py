@@ -23,6 +23,7 @@ from .errors import Ambiguous, BudgetExceeded, MajorityTie, NoCandidate
 from .model import HeadGeometry, ReadMatrix
 from .params import CodeParams
 from .periodicity import max_periodic_run
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -51,16 +52,6 @@ class IntervalReport:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class ShiftProbeTable:
-    """Per-window shift probes and per-residue sums behind one count vote."""
-
-    probes: dict[tuple[int, int], int]
-    sums: dict[int, int]
-    fallbacks: int
-    majority: int
-
-
 def identify_intervals(D: ReadMatrix, params: CodeParams) -> list[tuple[int, int]]:
     """Unmarked-interval identification over read columns (1-based, inclusive).
 
@@ -77,24 +68,26 @@ def count_deletions_in_interval(
     D: ReadMatrix,
     interval: tuple[int, int],
     params: CodeParams,
-    return_table: bool = False,
-):
+    trace: Trace | None = None,
+) -> int:
     """Deletions of head 1 inside the source interval behind a read interval.
 
     Only the first two reads are used. Windows of length T+k+1 tile the
     interval with stride t1 in 4k+1 residue classes; each window yields the
     row-1/row-2 shift accumulated up to it, the per-residue sums telescope to
-    the count, and the majority over residues wins.
+    the count, and the majority over residues wins. ``trace`` counts
+    ``count.fallbacks`` (windows that matched no shift or several, read as 0)
+    and receives one ``count_vote`` event with the per-residue sums.
     """
+    if trace is None:
+        trace = Trace()
     b_min, b_max = interval
     row1, row2 = D.rows[0], D.rows[1]
     k, T = params.k, params.T
     t1 = params.geometry.distances[0]
     stride = T + 2 * k + 1
     win = T + k + 1
-    probes: dict[tuple[int, int], int] = {}
     sums: dict[int, int] = {m: 0 for m in range(1, 4 * k + 2)}
-    fallbacks = 0
     length = b_max - b_min + 1
     for i in range(1, (length + t1 - 1) // t1 + 1):
         for m in range(1, 4 * k + 2):
@@ -109,17 +102,14 @@ def count_deletions_in_interval(
                     x_val = x
             if matches != 1:
                 x_val = 0
-                fallbacks += 1
-            probes[(i, m)] = x_val
+                trace.counters["count.fallbacks"] += 1
             sums[m] += x_val
+    trace.event("count_vote", interval=interval, sums=list(sums.values()))
     votes = Counter(sums.values())
     top = votes.most_common()
     if len(top) > 1 and top[0][1] == top[1][1]:
         raise MajorityTie(f"count vote tied between {top[0][0]} and {top[1][0]}")
-    majority = top[0][0]
-    if return_table:
-        return majority, ShiftProbeTable(probes, sums, fallbacks, majority)
-    return majority
+    return top[0][0]
 
 
 def build_report(

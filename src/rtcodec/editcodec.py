@@ -13,7 +13,9 @@ enumerates which intervals to distrust: distrusted intervals erase their
 blocks, trusted ones contribute spliced estimates, undetectable clusters are
 absorbed as block substitutions, and a per-choice error budget derived from
 the reduction outcomes rejects impossible choices. Accepted choices must also
-re-verify against every read row within the global edit budget.
+re-verify against every read row within the global edit budget. Every
+admissible choice is tried, and the accepted ones must decode to the same
+track.
 
 The codeword layers, the block restore and that final check are shared with
 the deletion codec (``layered``); this module adds head reduction and the
@@ -22,8 +24,8 @@ choice enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .layered import Bootstrap, blocks_touched, bootstrap, encode_layered, finis
 from .layout import build_layout
 from .model import BitTrack, ReadMatrix
 from .params import CodeParams
+from .trace import Trace
 
 
 @dataclass
@@ -58,17 +61,6 @@ class IntervalOutcome:
         return d + self.heads_left if selected else max(d - self.heads_left, 0)
 
 
-@dataclass
-class EditDecodeInfo:
-    """Diagnostics for tests: chosen intervals, budgets, outcomes."""
-
-    outcomes: list[IntervalOutcome] = field(default_factory=list)
-    chosen: tuple[int, ...] = ()
-    budget: int = 0
-    substituted_blocks: tuple[int, ...] = ()
-    accepted_choices: list[tuple[int, ...]] = field(default_factory=list)
-
-
 edit_layout = build_layout
 
 
@@ -77,37 +69,51 @@ def encode_edits(track: BitTrack, params: CodeParams) -> BitArray:
     return encode_layered(track, params, "edit")
 
 
-def decode_edits(E: ReadMatrix, params: CodeParams, return_info: bool = False):
-    """Recover the stored track from reads with at most k mixed edits per head."""
-    boot = bootstrap(E, params, "edit")
+def decode_edits(E: ReadMatrix, params: CodeParams, trace: Trace | None = None) -> BitArray:
+    """Recover the stored track from reads with at most k mixed edits per head.
+
+    ``trace`` receives the stages bootstrap, sync, intervals, then finish
+    (k < d) or choices, one ``interval`` event per interval (after the
+    ``reduction_step`` events of its head reduction) and one ``choice`` event
+    per distrust choice tried (the README's ``decode --report`` section lists
+    their fields).
+    """
+    if trace is None:
+        trace = Trace()
+    with trace.stage("bootstrap"):
+        boot = bootstrap(E, params, "edit")
     f_len = boot.layout.f_len
-    try:
-        report = build_edit_report(E, params, total_shift=boot.sigma)
-    except RtCodecError as e:
-        raise DecodeFailure("sync", str(e)) from e
-    est0 = recover_outside_bits(E, report, f_len)
+    with trace.stage("sync"):
+        try:
+            report = build_edit_report(E, params, total_shift=boot.sigma)
+        except RtCodecError as e:
+            raise DecodeFailure("sync", str(e)) from e
+        est0 = recover_outside_bits(E, report, f_len)
 
     outcomes: list[IntervalOutcome] = []
-    for j, ((b1, b2), s_j) in enumerate(zip(report.intervals, report.shifts)):
-        src_start = report.source_start(j)
-        src_end = src_start + (b2 - b1 + 1 - s_j) - 1
-        touches = src_start <= f_len
-        estimate, heads_left = None, None
-        if touches:
-            segs = [E.rows[w][b1 - 1 : b2] for w in range(params.d)]
-            try:
-                estimate, heads_left = head_reduction_recover(segs, params)
-                if len(estimate) != src_end - src_start + 1:
+    with trace.stage("intervals"):
+        for j, ((b1, b2), s_j) in enumerate(zip(report.intervals, report.shifts)):
+            src_start = report.source_start(j)
+            src_end = src_start + (b2 - b1 + 1 - s_j) - 1
+            touches = src_start <= f_len
+            estimate, heads_left = None, None
+            if touches:
+                segs = [E.rows[w][b1 - 1 : b2] for w in range(params.d)]
+                try:
+                    estimate, heads_left = head_reduction_recover(segs, params, trace)
+                    if len(estimate) != src_end - src_start + 1:
+                        estimate, heads_left = None, None
+                except ReductionStuck:
                     estimate, heads_left = None, None
-            except ReductionStuck:
-                estimate, heads_left = None, None
-        outcomes.append(
-            IntervalOutcome((b1, b2), (src_start, src_end), s_j, estimate, heads_left, touches)
-        )
+            oc = IntervalOutcome((b1, b2), (src_start, src_end), s_j, estimate, heads_left, touches)
+            outcomes.append(oc)
+            trace.event("interval", **vars(oc))
 
     if params.regime == "direct":
-        return _decode_direct(est0, outcomes, boot, params, E, return_info)
-    return _decode_with_choices(est0, outcomes, boot, params, E, return_info)
+        with trace.stage("finish"):
+            return _decode_direct(est0, outcomes, boot, params, E)
+    with trace.stage("choices"):
+        return _decode_with_choices(est0, outcomes, boot, params, E, trace)
 
 
 def _splice(est: BitArray, outcome: IntervalOutcome, f_len: int) -> None:
@@ -118,7 +124,7 @@ def _splice(est: BitArray, outcome: IntervalOutcome, f_len: int) -> None:
     est[lo2 - 1 : hi2] = outcome.estimate[lo2 - lo : hi2 - lo + 1]
 
 
-def _decode_direct(est0, outcomes, boot: Bootstrap, params, E, return_info):
+def _decode_direct(est0, outcomes, boot: Bootstrap, params, E) -> BitArray:
     est = est0.copy()
     for oc in outcomes:
         if not oc.touches_track:
@@ -126,51 +132,42 @@ def _decode_direct(est0, outcomes, boot: Bootstrap, params, E, return_info):
         if oc.estimate is None:
             raise DecodeFailure("interval", "head reduction stuck with k < d")
         _splice(est, oc, boot.layout.f_len)
-    out = finish(est, boot.tail, E, params)
-    if return_info:
-        return out, EditDecodeInfo(outcomes=outcomes, accepted_choices=[()])
-    return out
+    return finish(est, boot.tail, E, params)
 
 
-def _decode_with_choices(est0, outcomes, boot: Bootstrap, params, E, return_info):
+def _decode_with_choices(est0, outcomes, boot: Bootstrap, params, E, trace: Trace) -> BitArray:
+    """Try every admissible distrust choice; the accepted ones must agree."""
     candidates = [j for j, oc in enumerate(outcomes) if oc.touches_track]
     forced = [j for j in candidates if outcomes[j].estimate is None]
     optional = [j for j in candidates if j not in forced]
     # only one interval can defeat head reduction below k = 2d
     max_extra = 1 if params.regime == "pair" else len(optional)
-    choices: list[tuple[int, ...]] = []
-    for size in range(0, min(max_extra, len(optional)) + 1):
-        for extra in combinations(optional, size):
-            choices.append(tuple(sorted(set(forced) | set(extra))))
-    accepted: list[tuple[tuple[int, ...], BitArray, EditDecodeInfo]] = []
+    sizes = range(min(max_extra, len(optional)) + 1)
+    accepted: list[BitArray] = []
     last_error = "no choice satisfied the budget"
-    for chosen in choices:
+    for extra in chain.from_iterable(combinations(optional, size) for size in sizes):
+        chosen = tuple(sorted(set(forced) | set(extra)))
+        budget = sum(oc.budget_term(params.d, j in chosen) for j, oc in enumerate(outcomes))
         try:
-            out, info = _try_choice(chosen, est0, outcomes, boot, params, E)
+            out, substituted = _try_choice(chosen, budget, est0, outcomes, boot, params, E)
         except RtCodecError as e:
             last_error = str(e)
+            stage = getattr(e, "stage", type(e).__name__)
+            trace.event("choice", chosen=chosen, budget=budget, substituted=(), ok=False, stage=stage)
             continue
-        accepted.append((chosen, out, info))
-        if not return_info:
-            break
+        accepted.append(out)
+        trace.event("choice", chosen=chosen, budget=budget, substituted=tuple(substituted), ok=True, stage=None)
     if not accepted:
         raise DecodeFailure("choices", last_error)
-    chosen, out, info = accepted[0]
-    for _, other, _ in accepted[1:]:
-        if not np.array_equal(other, out):
-            raise DecodeFailure("choices", "two distrust choices decode to different tracks")
-    info.outcomes = outcomes
-    info.accepted_choices = [c for c, _, _ in accepted]
-    if return_info:
-        return out, info
-    return out
+    if any(not np.array_equal(other, accepted[0]) for other in accepted[1:]):
+        raise DecodeFailure("choices", "two distrust choices decode to different tracks")
+    return accepted[0]
 
 
-def _try_choice(chosen, est0, outcomes, boot: Bootstrap, params, E):
+def _try_choice(chosen, budget, est0, outcomes, boot: Bootstrap, params, E) -> tuple[BitArray, list[int]]:
     """Erase the blocks of the distrusted intervals, splice the trusted estimates."""
     d, k = params.d, params.k
     layout = boot.layout
-    budget = sum(oc.budget_term(d, j in chosen) for j, oc in enumerate(outcomes))
     if budget > k:
         raise DecodeFailure("budget", f"choice needs {budget} errors, only {k} allowed")
     est = est0.copy()
@@ -188,5 +185,4 @@ def _try_choice(chosen, est0, outcomes, boot: Bootstrap, params, E):
     est, substituted = restore_blocks(
         est, sorted(erased), boot.parity, layout, params, boot.row1, boot.sigma, max_subs
     )
-    out = finish(est, boot.tail, E, params)
-    return out, EditDecodeInfo(chosen=chosen, budget=budget, substituted_blocks=tuple(substituted))
+    return finish(est, boot.tail, E, params), substituted

@@ -21,6 +21,7 @@ from .bits import UNKNOWN, BitArray, column_agreement, unmarked_intervals
 from .errors import MajorityTie, ReductionStuck
 from .model import ReadMatrix
 from .params import CodeParams
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -39,19 +40,6 @@ class EditIntervalReport:
         """Source position of read column b1j (shifts of earlier intervals undone)."""
         b1 = self.intervals[j][0]
         return b1 - sum(s for q, s in zip(self.change_points[:j], self.shifts[:j]) if q < b1)
-
-
-@dataclass(frozen=True)
-class ReductionStep:
-    """One head-reduction pass, kept for diagnostics and tests."""
-
-    i_star: int
-    w_star: int
-    minority_tie: bool
-    direction: str  # "right" | "left"
-    run_start: int
-    one_runs: int
-    cut_shift: int
 
 
 def edit_margin(params: CodeParams) -> int:
@@ -188,28 +176,29 @@ def recover_outside_bits(E: ReadMatrix, report: EditIntervalReport, source_len: 
 
 
 def head_reduction_recover(
-    segments: list[BitArray], params: CodeParams, collect_trace: bool = False
-):
+    segments: list[BitArray], params: CodeParams, trace: Trace | None = None
+) -> tuple[BitArray, int]:
     """Iteratively merge heads until all remaining rows agree.
 
-    Returns (e, d_star[, trace]): the surviving row and how many rows were
-    left. When the segment's error count is below the original head count,
-    e equals the source segment (flanks included).
+    Returns (e, d_star): the surviving row and how many rows were left. When
+    the segment's error count is below the original head count, e equals the
+    source segment (flanks included). ``trace`` receives one
+    ``reduction_step`` event per pass that removed a row.
     """
+    if trace is None:
+        trace = Trace()
     k, T = params.k, params.T
     t = params.geometry.distances[0]
     step_len = T + 3 * k + 1
     n_probe_right = (k * k + 3) // 4 + 3 * k
     rows = [np.asarray(seg, dtype=np.uint8) for seg in segments]
-    trace: list[ReductionStep] = []
     while True:
         d_cur = len(rows)
         m_cur = len(rows[0])
         stacked = np.stack(rows)
         disagree = np.flatnonzero(~column_agreement(stacked))
         if len(disagree) == 0:
-            result = (rows[0].copy(), d_cur)
-            return (*result, trace) if collect_trace else result
+            return rows[0].copy(), d_cur
         i_star = int(disagree[0]) + 1
         col = stacked[:, i_star - 1]
         ones = int(col.sum())
@@ -284,7 +273,14 @@ def head_reduction_recover(
             new_rows.append(np.concatenate([rows[w][:cut], rows[w - 1][cut - shift :]]))
         if len({len(r) for r in new_rows}) != 1:
             raise ReductionStuck("spliced rows disagree in length")
-        trace.append(
-            ReductionStep(i_star, w_star, tie, direction, run_start, n_one_runs, cuts[0])
+        trace.event(
+            "reduction_step",
+            i_star=i_star,
+            w_star=w_star,
+            minority_tie=tie,
+            direction=direction,
+            run_start=run_start,
+            one_runs=n_one_runs,
+            cut_shift=cuts[0],
         )
         rows = new_rows

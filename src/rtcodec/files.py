@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .bits import BitArray, as_bits, format_track, parse_track
+from .errors import ParamViolation
 from .model import ReadMatrix
 from .params import CodeParams
 
@@ -37,9 +38,11 @@ def write_codeword(path, bits: BitArray, params: CodeParams, layout_info: dict |
 def read_codeword(path) -> tuple[BitArray, CodeParams]:
     bits = read_track(path)
     doc = json.loads(sidecar_path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ParamViolation("sidecar is not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported sidecar schema {doc.get('schema_version')}")
-    return bits, CodeParams.from_dict(doc["params"])
+    return bits, CodeParams.from_dict(doc.get("params"))
 
 
 def write_matrix(path, matrix: ReadMatrix) -> None:

@@ -1,18 +1,17 @@
 """Monte-Carlo trial campaigns and oracle sweeps.
 
-Determinism: trial i of a campaign seeded with S draws all randomness from
+Trials run one after another in the calling process. Determinism: trial i
+of a campaign seeded with S draws all randomness from
 ``random.Random(f"{S}:{i}")`` (string seeding hashes via SHA-512, stable
-across platforms), so reports reproduce bit-for-bit regardless of worker
-count.
+across platforms), so a report with ``stable_report`` set reproduces
+bit-for-bit, and trial i's outcome does not depend on the trials before it.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -118,32 +117,12 @@ def run_one_trial(params: CodeParams, mode: str, seed: int, index: int) -> dict:
     return {"trial": index, "ok": ok, "stage": None if ok else "mismatch"}
 
 
-def _worker(args):
-    cfg, seed, index = args
-    params = params_from_config(cfg)
-    return run_one_trial(params, cfg["mode"], seed, index)
-
-
-def worker_cap() -> int | None:
-    cap = os.environ.get("RTCODEC_THREADS")
-    return max(1, int(cap)) if cap else None
-
-
-def run_trials(cfg: dict, seed: int, trials: int, workers: int | None = None, stable_report: bool = False) -> dict:
+def run_trials(cfg: dict, seed: int, trials: int, stable_report: bool = False) -> dict:
     validate_trial_config(cfg)
     params = params_from_config(cfg)
     layout = build_layout(params)
-    workers = max(1, workers or 1)
-    cap = worker_cap()
-    if cap is not None:
-        workers = min(workers, cap)
     start = time.monotonic()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, [(cfg, seed, i) for i in range(trials)], chunksize=4))
-    else:
-        results = [run_one_trial(params, cfg["mode"], seed, i) for i in range(trials)]
-    results.sort(key=lambda r: r["trial"])
+    results = [run_one_trial(params, cfg["mode"], seed, i) for i in range(trials)]
     elapsed = time.monotonic() - start
     failures = [r for r in results if not r["ok"]]
     histogram: dict[str, int] = {}

@@ -8,7 +8,7 @@ constants for exhaustive desk-scale testing and carries no guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParamViolation
 from .hashing import DeletionHasher, make_hasher
@@ -22,11 +22,6 @@ def deletion_min_head_distance(n: int, k: int) -> int:
     interval_recovery = T * (k * (k - 1) // 2 + 1) + (7 * k - k**3) // 6
     sync = (4 * k + 1) * (T + 2 * k + 1)
     return max(interval_recovery, sync)
-
-
-def sync_min_head_distance(n: int, k: int) -> int:
-    """Distance needed by interval identification and counting alone."""
-    return (4 * k + 1) * (period_cap(n, k) + 2 * k + 1)
 
 
 def edit_min_head_distance(n: int, k: int) -> int:
@@ -222,9 +217,6 @@ class CodeParams:
     def rlayer_hasher(self) -> DeletionHasher:
         return make_hasher(self.rlayer_hash_mode, self.coloring_budget)
 
-    def with_overrides(self, **kw) -> "CodeParams":
-        return replace(self, **kw)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -243,10 +235,13 @@ class CodeParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CodeParams":
-        """Inverse of ``to_dict``; a missing field raises KeyError, a field of
-        the wrong type or value ParamViolation."""
+        """Inverse of ``to_dict``; a missing field, or one of the wrong type or
+        value, raises ParamViolation."""
         if not isinstance(data, dict):
             raise ParamViolation(f"parameters must be an object, got {type(data).__name__}")
+        missing = [key for key in _REQUIRED_FIELDS if key not in data]
+        if missing:
+            raise ParamViolation(f"parameters lack {', '.join(map(repr, missing))}")
         for key, kind in _FIELD_TYPES.items():
             if key in data and not _has_type(data[key], kind):
                 raise ParamViolation(f"parameter {key!r} must be {kind.__name__}, got {data[key]!r}")
@@ -271,6 +266,8 @@ class CodeParams:
             coloring_budget=data.get("coloring_budget", 16),
         )
 
+
+_REQUIRED_FIELDS = ("n", "k", "t", "kind", "mode", "T", "block_len", "hash_mode", "rlayer_hash_mode")
 
 _FIELD_TYPES = {
     "n": int,

@@ -9,8 +9,6 @@ track whose longest such window is at most 3k + ceil(log2 n) + 2, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -38,22 +36,6 @@ def max_periodic_run(bits, k: int) -> int:
     if len(c) == 0:
         return 0
     return max(longest_periodic_run(c, p) for p in range(1, min(k, len(c)) + 1))
-
-
-@dataclass(frozen=True)
-class PeriodProfile:
-    """Per-period longest-run lengths for periods 1..k."""
-
-    per_period: dict[int, int]
-
-    @property
-    def max_le_k(self) -> int:
-        return max(self.per_period.values())
-
-    @classmethod
-    def of(cls, bits, k: int) -> "PeriodProfile":
-        c = as_bits(bits)
-        return cls({p: longest_periodic_run(c, p) for p in range(1, min(k, len(c)) + 1)})
 
 
 def period_cap(n: int, k: int) -> int:

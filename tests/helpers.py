@@ -306,3 +306,27 @@ def reference_parity_groups_rs(block_groups, parity_groups: int, group_symbols: 
 
     lanes = [rs_parity([grp[lane] for grp in block_groups], parity_groups) for lane in range(group_symbols)]
     return [[lanes[lane][j] for lane in range(group_symbols)] for j in range(parity_groups)]
+
+
+def reference_agreement_run_starts(equal) -> np.ndarray:
+    """For each index i, the length of the True-run of ``equal`` starting at i."""
+    n = len(equal)
+    out = np.zeros(n + 1, dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        out[i] = out[i + 1] + 1 if equal[i] else 0
+    return out[:n]
+
+
+def reference_edit_distance(a, b) -> int:
+    """Insert/delete edit distance by the full O(len(a) * len(b)) table."""
+    n, m = len(a), len(b)
+    prev = list(range(m + 1))
+    for i in range(1, n + 1):
+        cur = [i] + [0] * m
+        for j in range(1, m + 1):
+            if a[i - 1] == b[j - 1]:
+                cur[j] = prev[j - 1]
+            else:
+                cur[j] = 1 + min(prev[j], cur[j - 1])
+        prev = cur
+    return prev[m]

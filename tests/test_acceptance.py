@@ -35,6 +35,7 @@ from rtcodec.model import (
 )
 from rtcodec.params import CodeParams
 from rtcodec.periodicity import cap_periods, max_periodic_run, period_cap, uncap_periods
+from rtcodec.trace import Trace
 
 from helpers import (
     check_deletion_report,
@@ -236,29 +237,31 @@ def _edit_campaign(params, trials, seed, check_budget=True):
         cw = BitTrack(encode_edits(msg, params))
         pattern = sample_edit_pattern(rng, len(cw), params.k, params.d, params.geometry)
         E = apply_edits(cw, pattern, params.geometry)
-        out, info = decode_edits(E, params, return_info=True)
+        trace = Trace()
+        out = decode_edits(E, params, trace)
         assert np.array_equal(out, msg.bits)
         if not check_budget:
             continue
+        outcomes = trace.of_kind("interval")
         clusters = edit_clusters(pattern.delta1, pattern.gamma1, params.d, t)
-        intervals = [oc.read_span for oc in info.outcomes]
+        intervals = [oc["read_span"] for oc in outcomes]
         assign = cluster_interval_assignment(clusters, intervals, pattern.delta1, pattern.gamma1)
         assigned = set()
-        for j, oc in enumerate(info.outcomes):
+        for j, oc in enumerate(outcomes):
             err_j = sum(clusters[ci]["count"] for ci in assign[j])
             assigned.update(assign[j])
-            if oc.heads_left is None:
+            if oc["heads_left"] is None:
                 continue
-            assert err_j >= params.d - oc.heads_left, "reduction outcome outruns ground truth"
-            if oc.estimate is not None:
-                lo, hi = oc.source_span
+            assert err_j >= params.d - oc["heads_left"], "reduction outcome outruns ground truth"
+            if oc["estimate"] is not None:
+                lo, hi = oc["source_span"]
                 cw_bits = cw.bits
                 lo2, hi2 = max(lo, 1), min(hi, len(cw_bits))
                 truth = cw_bits[lo2 - 1 : hi2]
-                got = oc.estimate[lo2 - lo : hi2 - lo + 1]
+                got = oc["estimate"][lo2 - lo : hi2 - lo + 1]
                 if not np.array_equal(got, truth):
-                    if oc.heads_left >= 2:
-                        assert err_j >= params.d + oc.heads_left, "wrong estimate below the error floor"
+                    if oc["heads_left"] >= 2:
+                        assert err_j >= params.d + oc["heads_left"], "wrong estimate below the error floor"
                     else:
                         assert err_j >= params.d, "wrong estimate below the error floor"
         for ci, cl in enumerate(clusters):

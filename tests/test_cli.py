@@ -9,7 +9,8 @@ import pytest
 
 from rtcodec.bits import format_track
 from rtcodec.cli import main
-from rtcodec.files import read_matrix, read_track
+from rtcodec.files import read_matrix, read_track, write_matrix
+from rtcodec.model import ReadMatrix
 from rtcodec.params import CodeParams
 
 
@@ -145,9 +146,14 @@ def test_oracle_ball_disjoint(tmp_path):
     assert doc["disjoint"] is True and doc["pairs"] == 15
 
 
-@pytest.mark.parametrize("key,value", [("t", [5]), ("k", "2"), ("symbol_bits", 12)])
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "key,value", [("t", [5]), ("k", "2"), ("symbol_bits", 12), ("k", MISSING), ("params", MISSING)]
+)
 def test_decode_bad_sidecar_is_config_error(tmp_path, capsys, key, value):
-    """A sidecar whose parameters are out of range or of the wrong type exits 3 with one line."""
+    """A sidecar whose parameters are missing, out of range or of the wrong type exits 3 with one line."""
     msg = tmp_path / "msg.track"
     write_random_track(msg, 128, 5)
     cw = tmp_path / "cw.track"
@@ -155,7 +161,12 @@ def test_decode_bad_sidecar_is_config_error(tmp_path, capsys, key, value):
     assert main(["encode", "--in", str(msg), "--out", str(cw), "--k", "2", "--d", "2"]) == 0
     assert main(["corrupt", "--in", str(cw), "--out", str(mat), "--seed", "6"]) == 0
     doc = json.loads(Path(str(cw) + ".json").read_text())
-    doc["params"][key] = value
+    if value is not MISSING:
+        doc["params"][key] = value
+    elif key == "params":
+        del doc["params"]
+    else:
+        del doc["params"][key]
     sidecar = tmp_path / "bad.json"
     sidecar.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -163,6 +174,47 @@ def test_decode_bad_sidecar_is_config_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("sidecar", ["[1, 2]", '{"schema_version": 1}'])
+def test_corrupt_bad_sidecar_is_config_error(tmp_path, capsys, sidecar):
+    """A sidecar that is not an object, or has no parameters, exits 3 with one line."""
+    msg = tmp_path / "msg.track"
+    write_random_track(msg, 64, 4)
+    cw = tmp_path / "cw.track"
+    assert main(["encode", "--in", str(msg), "--out", str(cw), "--k", "2", "--d", "2"]) == 0
+    Path(str(cw) + ".json").write_text(sidecar)
+    capsys.readouterr()
+    assert main(["corrupt", "--in", str(cw), "--out", str(tmp_path / "r.mat")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("mode,k,d", [("del", "2", "2"), ("edit", "4", "2")])
+def test_decode_report_carries_trace(tmp_path, mode, k, d):
+    """The report holds the decode trace on success and on a failure at input."""
+    msg = tmp_path / "msg.track"
+    write_random_track(msg, 256, 9)
+    cw = tmp_path / "cw.track"
+    mat = tmp_path / "reads.mat"
+    report = tmp_path / "report.json"
+    assert main(["encode", "--in", str(msg), "--out", str(cw), "--mode", mode, "--k", k, "--d", d]) == 0
+    assert main(["corrupt", "--in", str(cw), "--out", str(mat), "--seed", "3"]) == 0
+    decode = ["decode", "--in", str(mat), "--sidecar", str(cw) + ".json", "--out", str(tmp_path / "x"),
+              "--report", str(report)]
+    assert main(decode) == 0
+    doc = json.loads(report.read_text())
+    assert doc["ok"] is True
+    assert {"bootstrap", "sync", "intervals", "finish" if mode == "del" else "choices"} <= set(doc["trace"]["stages"])
+    assert any(ev["kind"] == "interval" for ev in doc["trace"]["events"])
+
+    reads = read_matrix(mat)
+    write_matrix(mat, ReadMatrix(reads.rows[:, :-20], kind=reads.kind))
+    assert main(decode) == 2
+    doc = json.loads(report.read_text())
+    assert doc["ok"] is False and doc["stage"] == "input"
+    assert set(doc["trace"]["stages"]) == {"bootstrap"}
+    assert doc["trace"]["events"] == []
 
 
 def test_repeated_main_calls_do_not_share_state(tmp_path):

@@ -16,6 +16,7 @@ from rtcodec.model import (
     sample_deletion_pattern,
 )
 from rtcodec.params import CodeParams
+from rtcodec.trace import Trace
 
 
 def roundtrip(params, msg, pattern):
@@ -160,3 +161,20 @@ def test_read_check_rejects_dropped_interval():
     with pytest.raises(DecodeFailure) as err:
         decode_deletions(ReadMatrix(rows, kind="deletion"), params)
     assert err.value.stage == "verify"
+
+
+@pytest.mark.parametrize("k", [3, 4], ids=["pair", "rs"])
+def test_trace_stages_and_events(k):
+    params = CodeParams.deletion(512, k, 2)
+    rng = random.Random(20 + k)
+    msg = BitTrack([rng.randrange(2) for _ in range(512)])
+    cw = BitTrack(encode_deletions(msg, params))
+    D = apply_deletions(cw, DeletionPattern((100, 101, 300)[: k - 1]), params.geometry)
+    trace = Trace()
+    assert np.array_equal(decode_deletions(D, params, trace), msg.bits)
+    assert set(trace.stages) == {"bootstrap", "sync", "intervals", "restore", "finish"}
+    intervals = trace.of_kind("interval")
+    assert len(intervals) >= 1
+    assert {iv["outcome"] for iv in intervals} <= {"recovered", "heavy", "redundancy"}
+    assert sum(iv["count"] for iv in intervals) == k - 1
+    assert len(trace.of_kind("heavy")) == 1

@@ -23,6 +23,7 @@ from rtcodec.delsync import (
     identify_intervals,
     recover_interval_multihead,
 )
+from rtcodec.trace import Trace
 
 from helpers import check_deletion_report
 
@@ -119,8 +120,9 @@ def test_probe_fallback_majority_still_correct():
     D = apply_deletions(track, pat, params.geometry)
     intervals = identify_intervals(D, params)
     target = next(iv for iv in intervals if iv[0] <= 38 <= iv[1] + 1)
-    count, table = count_deletions_in_interval(D, target, params, return_table=True)
-    assert table.fallbacks >= 1, "planted run never tripped a probe"
+    trace = Trace()
+    count = count_deletions_in_interval(D, target, params, trace)
+    assert trace.counters["count.fallbacks"] >= 1, "planted run never tripped a probe"
     assert count == 1
 
 

@@ -1,5 +1,6 @@
 """End-to-end edit codecs: three regimes, budgets, adversarial choices."""
 
+import json
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from rtcodec.errors import DecodeFailure, ParamViolation
 from rtcodec.model import BitTrack, EditPattern, apply_edits, sample_edit_pattern
 from rtcodec.params import CodeParams
 from rtcodec.periodicity import cap_periods
+from rtcodec.trace import Trace
 
 from helpers import cluster_interval_assignment, edit_clusters
 
@@ -116,16 +118,19 @@ def test_budget_and_prop4_accounting():
         cw = BitTrack(encode_edits(msg, params))
         pat = sample_edit_pattern(rng, len(cw), 4, 2, params.geometry)
         E = apply_edits(cw, pat, params.geometry)
-        out, info = decode_edits(E, params, return_info=True)
+        trace = Trace()
+        out = decode_edits(E, params, trace)
         assert np.array_equal(out, msg.bits)
-        assert info.budget <= params.k
+        accepted = [c for c in trace.of_kind("choice") if c["ok"]]
+        assert accepted[0]["budget"] <= params.k
+        outcomes = trace.of_kind("interval")
         clusters = edit_clusters(pat.delta1, pat.gamma1, params.d, t)
-        intervals = [oc.read_span for oc in info.outcomes]
+        intervals = [oc["read_span"] for oc in outcomes]
         assign = cluster_interval_assignment(clusters, intervals, pat.delta1, pat.gamma1)
-        for j, oc in enumerate(info.outcomes):
+        for j, oc in enumerate(outcomes):
             err_j = sum(clusters[ci]["count"] for ci in assign[j])
-            if oc.heads_left is not None:
-                assert err_j >= params.d - oc.heads_left, "reduction claimed too much"
+            if oc["heads_left"] is not None:
+                assert err_j >= params.d - oc["heads_left"], "reduction claimed too much"
 
 
 def test_adversarial_all_choices_agree():
@@ -137,9 +142,10 @@ def test_adversarial_all_choices_agree():
         cw = BitTrack(encode_edits(msg, params))
         pat = sample_edit_pattern(rng, len(cw), 4, 2, params.geometry)
         E = apply_edits(cw, pat, params.geometry)
-        out, info = decode_edits(E, params, return_info=True)
+        trace = Trace()
+        out = decode_edits(E, params, trace)
         assert np.array_equal(out, msg.bits)
-        assert len(info.accepted_choices) >= 1
+        assert len([c for c in trace.of_kind("choice") if c["ok"]]) >= 1
 
 
 def test_kind_gate():
@@ -157,3 +163,26 @@ def test_bad_length_rejected():
     bad = ReadMatrix(E.rows[:, :-20], kind="edit")
     with pytest.raises(DecodeFailure):
         decode_edits(bad, params)
+
+
+@pytest.mark.parametrize("k,d,regime", [(2, 3, "direct"), (4, 3, "pair"), (4, 2, "rs")])
+def test_trace_stages_and_events(k, d, regime):
+    params = CodeParams.edit(1024, k, d)
+    assert params.regime == regime
+    rng = random.Random(30 + k + d)
+    msg = BitTrack([rng.randrange(2) for _ in range(1024)])
+    cw = BitTrack(encode_edits(msg, params))
+    pat = sample_edit_pattern(rng, len(cw), k, d, params.geometry)
+    E = apply_edits(cw, pat, params.geometry)
+    trace = Trace()
+    assert np.array_equal(decode_edits(E, params, trace), msg.bits)
+    last = "finish" if regime == "direct" else "choices"
+    assert set(trace.stages) == {"bootstrap", "sync", "intervals", last}
+    assert len(trace.of_kind("interval")) >= 1
+    choices = trace.of_kind("choice")
+    if regime == "direct":
+        assert choices == []
+    else:
+        assert any(c["ok"] for c in choices)
+    doc = trace.to_dict()
+    assert json.loads(json.dumps(doc)) == doc

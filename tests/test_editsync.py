@@ -24,6 +24,7 @@ from rtcodec.model import (
 )
 from rtcodec.params import CodeParams
 from rtcodec.periodicity import cap_periods
+from rtcodec.trace import Trace
 
 from helpers import cluster_interval_assignment, edit_clusters
 
@@ -182,8 +183,9 @@ def test_head_reduction_row_count_decreases():
     report = build_edit_report(E, PARAMS, total_shift=0)
     for j, (b1, b2) in enumerate(report.intervals):
         segs = [E.rows[w][b1 - 1 : b2] for w in range(PARAMS.d)]
-        e_j, d_star, trace = head_reduction_recover(segs, PARAMS, collect_trace=True)
-        assert d_star == PARAMS.d - len(trace)
+        trace = Trace()
+        e_j, d_star = head_reduction_recover(segs, PARAMS, trace)
+        assert d_star == PARAMS.d - len(trace.of_kind("reduction_step"))
         assert d_star >= 1
 
 

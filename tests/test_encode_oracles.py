@@ -1,11 +1,12 @@
-"""Byte-identity of the vectorised encode path against the per-position
-reference implementations in ``helpers``, on a seeded corpus."""
+"""Byte-identity of the vectorised encode path (and the vectorised
+agreement-run scan of the decoders) against the per-position reference
+implementations in ``helpers``, on a seeded corpus."""
 
 import numpy as np
 import pytest
 
 from rtcodec.algebra import oddeven_parity
-from rtcodec.bits import bits_from_int, format_track, parse_track
+from rtcodec.bits import agreement_run_starts, bits_from_int, format_track, parse_track
 from rtcodec.files import read_matrix, write_matrix
 from rtcodec.layout import (
     Layout,
@@ -20,6 +21,7 @@ from rtcodec.model import ReadMatrix
 from rtcodec.periodicity import cap_periods
 
 from helpers import (
+    reference_agreement_run_starts,
     reference_cap_periods,
     reference_format_track,
     reference_parity_groups_rs,
@@ -165,3 +167,17 @@ def test_matrix_file_rows_are_ascii_bits(tmp_path):
         path.write_text(bad)
         with pytest.raises(ValueError):
             read_matrix(path)
+
+
+def test_agreement_run_starts_matches_reference():
+    rng = np.random.default_rng(20229)
+    cases = [np.zeros(0, dtype=bool), np.array([True]), np.array([False])]
+    cases += [np.ones(n, dtype=bool) for n in (2, 17, 1000)]
+    cases += [np.zeros(n, dtype=bool) for n in (2, 17, 1000)]
+    for _ in range(60):
+        n = int(rng.integers(0, 1001))
+        cases.append(rng.random(n) < rng.random())
+    for equal in cases:
+        got, want = agreement_run_starts(equal), reference_agreement_run_starts(equal)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), f"n={len(equal)}"

@@ -8,7 +8,6 @@ import pytest
 from rtcodec.bits import as_bits, bits_from_int
 from rtcodec.errors import NotInImage
 from rtcodec.periodicity import (
-    PeriodProfile,
     cap_periods,
     longest_periodic_run,
     max_periodic_run,
@@ -24,7 +23,7 @@ def test_worked_run_lengths():
     assert longest_periodic_run(c, 1) == 2
     assert longest_periodic_run(c, 2) == 4
     assert longest_periodic_run(c, 3) == 7
-    assert PeriodProfile.of(c, 3).max_le_k == 7
+    assert max_periodic_run(c, 3) == 7
 
 
 def test_constant_sequence_run():
