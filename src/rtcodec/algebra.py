@@ -1,49 +1,21 @@
-"""Classical sub-codes: systematic Reed-Solomon (erasures, errors+erasures),
-the odd/even pair-parity code for two consecutive erasures, and the
-(k+1)-fold repetition code with an exact mixed-edit decoder.
+"""Classical sub-codes: systematic Reed-Solomon (lane-parallel parity, an
+errors-and-erasures decoder) and the (k+1)-fold repetition code with an exact
+mixed-edit decoder. The odd/even pair parity runs lane-wise in ``layout``.
 
-Field elements are plain ints inside GF(2^w); symbol strings carry an optional
-erasure mask.
+Field elements are plain ints inside GF(2^w).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 from functools import lru_cache
-from math import ceil
+from itertools import accumulate
 
 import numpy as np
 
 from .bits import BitArray, as_bits
-from .errors import (
-    DecodeFailure,
-    FieldTooSmall,
-    MalformedRepetition,
-    TooManyErasures,
-    UnsupportedErasurePattern,
-)
+from .errors import DecodeFailure, FieldTooSmall, MalformedRepetition, TooManyErasures
 from .gf import GF
-
-
-@dataclass(frozen=True)
-class SymbolString:
-    """Symbols over GF(2^w); mask[i] True marks position i erased."""
-
-    symbols: tuple[int, ...]
-    erasure_mask: tuple[bool, ...] | None = None
-
-    def __post_init__(self):
-        if self.erasure_mask is not None and len(self.erasure_mask) != len(self.symbols):
-            raise ValueError("erasure mask length must match symbol count")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def erasures(self) -> tuple[int, ...]:
-        if self.erasure_mask is None:
-            return ()
-        return tuple(i for i, e in enumerate(self.erasure_mask) if e)
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +30,6 @@ def rs_generator_poly(width: int, redundancy: int) -> tuple[int, ...]:
     for i in range(redundancy):
         g = gf.poly_mul(g, [1, gf.exp[i]])
     return tuple(g)
-
-
-def rs_encode(msg: SymbolString, redundancy: int, width: int = 8) -> SymbolString:
-    """Systematic encoding: message followed by ``redundancy`` parity symbols."""
-    parity = rs_parity_lanes(np.array(msg.symbols, dtype=np.int64).reshape(-1, 1), redundancy, width)
-    return SymbolString(msg.symbols + tuple(parity[:, 0].tolist()))
 
 
 def rs_parity_lanes(messages: np.ndarray, redundancy: int, width: int = 8) -> np.ndarray:
@@ -126,25 +92,29 @@ def _berlekamp_massey(gf: GF, synd: list[int]) -> tuple[list[int], int]:
 
 
 def rs_decode_errors_erasures(
-    word: SymbolString, redundancy: int, width: int = 8
-) -> SymbolString:
-    """Correct erasures (masked positions) plus unknown-position errors.
+    symbols: list[int], erasures: list[int], redundancy: int, width: int = 8
+) -> list[int]:
+    """Correct the symbols at the ``erasures`` positions plus unknown-position errors.
 
-    Guaranteed exact when 2*errors + erasures <= redundancy; raises
-    DecodeFailure otherwise (never silently wrong inside the guarantee region).
-    Returns the full corrected codeword with the mask cleared.
+    ``symbols`` is a whole codeword (message, then parity); the values at the
+    erased positions are ignored. Guaranteed exact when 2*errors + erasures <=
+    redundancy; raises TooManyErasures past the parity and DecodeFailure
+    otherwise (never silently wrong inside the guarantee region). Returns the
+    full corrected codeword.
     """
     gf = GF.get(width)
-    n = len(word)
-    erasures = list(word.erasures)
+    n = len(symbols)
+    erasures = list(erasures)
     if len(erasures) > redundancy:
         raise TooManyErasures(f"{len(erasures)} erasures exceed parity {redundancy}")
-    cw = [0 if (word.erasure_mask and word.erasure_mask[i]) else int(s) for i, s in enumerate(word.symbols)]
+    cw = [int(s) for s in symbols]
+    for p in erasures:
+        cw[p] = 0
     if redundancy == 0:
-        return SymbolString(tuple(cw))
+        return cw
     synd = _syndromes(gf, cw, redundancy)
     if not any(synd) and not erasures:
-        return SymbolString(tuple(cw))
+        return cw
 
     # locators, syndromes and omega are ascending here; gf.poly_mul's
     # convolution is the same in either order, gf.poly_eval wants it reversed
@@ -183,48 +153,7 @@ def rs_decode_errors_erasures(
         cw[p] ^= gf.mul(xi, gf.div(num, den))
     if any(_syndromes(gf, cw, redundancy)):
         raise DecodeFailure("rs", "correction failed the syndrome check")
-    return SymbolString(tuple(cw))
-
-
-def rs_decode_erasures(word: SymbolString, redundancy: int, width: int = 8) -> SymbolString:
-    """Restore masked positions (up to ``redundancy`` of them); returns the message part."""
-    if len(word.erasures) > redundancy:
-        raise TooManyErasures(f"{len(word.erasures)} erasures exceed parity {redundancy}")
-    fixed = rs_decode_errors_erasures(word, redundancy, width)
-    return SymbolString(fixed.symbols[: len(word) - redundancy])
-
-
-# ---------------------------------------------------------------------------
-# Odd/even pair parity (two consecutive erasures)
-
-
-def oddeven_parity(symbols) -> tuple[int, int]:
-    """(xor of 1-based odd positions, xor of even positions) over GF(2^w)."""
-    p_odd = p_even = 0
-    for i, s in enumerate(symbols):
-        if i % 2 == 0:
-            p_odd ^= int(s)
-        else:
-            p_even ^= int(s)
-    return p_odd, p_even
-
-
-def oddeven_restore(symbols: list[int | None], parity: tuple[int, int]) -> list[int]:
-    """Fill erased (None) symbols; supports none, one, or two consecutive erasures."""
-    erased = [i for i, s in enumerate(symbols) if s is None]
-    if len(erased) > 2:
-        raise UnsupportedErasurePattern(f"{len(erased)} erasures")
-    if len(erased) == 2 and erased[1] - erased[0] != 1:
-        raise UnsupportedErasurePattern(f"non-consecutive erasures at {erased}")
-    out = [int(s) if s is not None else 0 for s in symbols]
-    for pos in erased:
-        cls = pos % 2
-        acc = parity[0] if cls == 0 else parity[1]
-        for i, s in enumerate(out):
-            if i % 2 == cls and i not in erased:
-                acc ^= s
-        out[pos] = acc
-    return out
+    return cw
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +165,16 @@ def rep_encode(bits, fold: int) -> BitArray:
     return np.repeat(as_bits(bits), fold)
 
 
-def _rep_run_parse(y: BitArray, fold: int) -> tuple[BitArray, int] | None:
+def _rep_run_parse(y: BitArray, fold: int) -> BitArray | None:
     """Deletion-only parse: round each run up to whole symbols; None if over budget."""
     if len(y) == 0:
-        return as_bits([]), 0
-    changes = np.flatnonzero(np.diff(y)) + 1
-    bounds = np.concatenate(([0], changes, [len(y)]))
-    msg, deficit = [], 0
-    for i in range(len(bounds) - 1):
-        length = int(bounds[i + 1] - bounds[i])
-        copies = ceil(length / fold)
-        deficit += copies * fold - length
-        msg.extend([int(y[bounds[i]])] * copies)
-    if deficit > fold - 1:
+        return as_bits([])
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(y)) + 1))
+    lengths = np.diff(np.append(starts, len(y)))
+    copies = -(-lengths // fold)
+    if int((copies * fold - lengths).sum()) > fold - 1:
         return None
-    return np.array(msg, dtype=np.uint8), deficit
+    return np.repeat(y[starts], copies)
 
 
 def rep_decode(y, fold: int, msg_len: int | None = None) -> BitArray:
@@ -263,113 +187,69 @@ def rep_decode(y, fold: int, msg_len: int | None = None) -> BitArray:
     """
     y = as_bits(y)
     parsed = _rep_run_parse(y, fold)
-    if parsed is not None and (msg_len is None or len(parsed[0]) == msg_len):
-        return parsed[0]
+    if parsed is not None and (msg_len is None or len(parsed) == msg_len):
+        return parsed
     if msg_len is None:
         raise MalformedRepetition("no deletion-only parse; message length needed for edit parse")
     return _rep_decode_dp(y, fold, msg_len)
 
 
 def _rep_decode_dp(y: BitArray, fold: int, msg_len: int) -> BitArray:
-    if msg_len <= 64:
-        return _rep_decode_dp_small(y, fold, msg_len)
+    """Cheapest parse of y as msg_len symbols, each read from a span of y.
+
+    State s after symbol i means that symbol ended at fold*(i+1) + s - budget
+    in y. Reading bit b from a span costs the insert/delete distance between
+    b^fold and the span, so a total within the budget pins the message.
+    """
     budget = fold - 1
     drift = len(y) - fold * msg_len
     if abs(drift) > budget:
         raise MalformedRepetition(f"length drift {drift} exceeds budget {budget}")
-    ones = np.concatenate(([0], np.cumsum(y, dtype=np.int64)))
-    width = 2 * budget + 1
-    sigmas = np.arange(-budget, budget + 1)
-    INF = np.int64(1 << 30)
-    cost = np.full(width, INF, dtype=np.int64)
-    cost[budget] = 0
-    parent_sigma = np.zeros((msg_len, width), dtype=np.int8)
-    parent_bit = np.zeros((msg_len, width), dtype=np.int8)
-    for i in range(msg_len):
-        starts = fold * i + sigmas
-        ends = fold * (i + 1) + sigmas
-        ok_start = (starts >= 0) & (starts <= len(y))
-        ok_end = (ends >= 0) & (ends <= len(y))
-        s_clip = np.clip(starts, 0, len(y))
-        e_clip = np.clip(ends, 0, len(y))
-        span = e_clip[None, :] - s_clip[:, None]
-        n1 = ones[e_clip][None, :] - ones[s_clip][:, None]
-        n0 = span - n1
-        valid = ok_start[:, None] & ok_end[None, :] & (span >= 0)
-        base = fold + span
-        cost1 = np.where(valid, base - 2 * np.minimum(fold, n1), INF)
-        cost0 = np.where(valid, base - 2 * np.minimum(fold, n0), INF)
-        tot1 = cost[:, None] + cost1
-        tot0 = cost[:, None] + cost0
-        best1, arg1 = tot1.min(axis=0), tot1.argmin(axis=0)
-        best0, arg0 = tot0.min(axis=0), tot0.argmin(axis=0)
-        take1 = best1 <= best0
-        cost = np.where(take1, best1, best0)
-        parent_bit[i] = take1.astype(np.int8)
-        parent_sigma[i] = np.where(take1, arg1, arg0).astype(np.int8)
-    end_state = budget + drift
-    if cost[end_state] > budget:
-        raise MalformedRepetition("no parse within the edit budget")
-    out = np.zeros(msg_len, dtype=np.uint8)
-    state = end_state
-    for i in range(msg_len - 1, -1, -1):
-        out[i] = parent_bit[i][state]
-        state = int(parent_sigma[i][state])
-    return out
-
-
-def _rep_decode_dp_small(y: BitArray, fold: int, msg_len: int) -> BitArray:
-    """Plain-python twin of the DP for short messages (exhaustive test loads)."""
-    budget = fold - 1
-    drift = len(y) - fold * msg_len
-    if abs(drift) > budget:
-        raise MalformedRepetition(f"length drift {drift} exceeds budget {budget}")
-    prefix = [0]
-    for b in y:
-        prefix.append(prefix[-1] + int(b))
+    prefix = [0, *accumulate(y.tolist())]
     width = 2 * budget + 1
     INF = 1 << 30
     ly = len(y)
     cost = [INF] * width
     cost[budget] = 0
-    parents: list[list[int]] = []
+    # one flat buffer of parents, (previous state << 1) | bit per (symbol, state);
+    # a byte holds it while the state fits in 7 bits
+    parents = array("B" if width <= 128 else "L", [0]) * (msg_len * width)
     for i in range(msg_len):
         base_s = fold * i - budget
-        base_e = fold * (i + 1) - budget
+        base_e = base_s + fold
+        # the states symbol i can start from: reached, and inside y
+        live = [(s, c, base_s + s) for s, c in enumerate(cost) if c < INF and 0 <= base_s + s <= ly]
         new_cost = [INF] * width
-        par = [0] * width
+        row = i * width
         for sp in range(width):
             end = base_e + sp
             if end < 0 or end > ly:
                 continue
             best, arg = INF, 0
-            for s in range(width):
-                c0 = cost[s]
-                if c0 >= INF:
-                    continue
-                start = base_s + s
-                if start < 0 or start > end:
-                    continue
+            ones_end = prefix[end]
+            for s, c, start in live:
                 span = end - start
-                n1 = prefix[end] - prefix[start]
-                c1 = c0 + fold + span - 2 * (fold if n1 > fold else n1)
+                if span < 0:
+                    continue
+                n1 = ones_end - prefix[start]
                 n0 = span - n1
-                c0b = c0 + fold + span - 2 * (fold if n0 > fold else n0)
+                base = c + fold + span
+                c1 = base - 2 * (fold if n1 > fold else n1)
+                c0 = base - 2 * (fold if n0 > fold else n0)
                 if c1 < best:
                     best, arg = c1, (s << 1) | 1
-                if c0b < best:
-                    best, arg = c0b, s << 1
+                if c0 < best:
+                    best, arg = c0, s << 1
             new_cost[sp] = best
-            par[sp] = arg
+            parents[row + sp] = arg
         cost = new_cost
-        parents.append(par)
     end_state = budget + drift
     if cost[end_state] > budget:
         raise MalformedRepetition("no parse within the edit budget")
-    out = []
+    out = bytearray(msg_len)
     state = end_state
     for i in range(msg_len - 1, -1, -1):
-        packed = parents[i][state]
-        out.append(packed & 1)
+        packed = parents[i * width + state]
+        out[i] = packed & 1
         state = packed >> 1
-    return np.array(out[::-1], dtype=np.uint8)
+    return np.frombuffer(out, dtype=np.uint8)

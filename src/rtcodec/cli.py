@@ -104,10 +104,10 @@ def _parse_positions(text: str) -> tuple[int, ...]:
 def cmd_corrupt(args) -> int:
     try:
         cw, params = files.read_codeword(args.infile)
+    except ParamViolation as e:
+        raise CliError(EXIT_CONFIG, f"bad sidecar: {e}") from e
     except (OSError, ValueError) as e:
         raise CliError(EXIT_IO, f"cannot read codeword: {e}") from e
-    except ParamViolation as e:
-        raise CliError(EXIT_CONFIG, f"bad sidecar parameters: {e}") from e
     track = BitTrack(cw)
     try:
         if args.delta1 is not None:
@@ -144,14 +144,11 @@ def cmd_corrupt(args) -> int:
 def cmd_decode(args) -> int:
     try:
         matrix = files.read_matrix(args.infile)
-        doc = _load_json(args.sidecar)
-        if not isinstance(doc, dict):
-            raise ParamViolation("sidecar is not a JSON object")
-        params = CodeParams.from_dict(doc.get("params"))
+        params = files.read_sidecar(args.sidecar)
+    except ParamViolation as e:
+        raise CliError(EXIT_CONFIG, f"bad sidecar: {e}") from e
     except (OSError, ValueError, KeyError) as e:
         raise CliError(EXIT_IO, f"cannot read inputs: {e}") from e
-    except ParamViolation as e:
-        raise CliError(EXIT_CONFIG, f"bad sidecar parameters: {e}") from e
     report: dict = {"schema_version": 1, "kind": params.kind}
     trace = Trace()
     decode = decode_deletions if params.kind == "deletion" else decode_edits
@@ -205,7 +202,8 @@ def cmd_oracle(args) -> int:
             unknown = set(cfg) - allowed
             if unknown:
                 raise CliError(EXIT_CONFIG, f"unknown config keys: {sorted(unknown)}")
-            cfg.setdefault("mode", "del")
+            if cfg.get("mode", "del") != "del":
+                raise CliError(EXIT_CONFIG, f"ball-disjoint checks deletion codes only, got mode {cfg['mode']!r}")
             params = params_from_config({**cfg, "mode": "del"})
             rng = random.Random(cfg.get("seed", 0))
             messages = [

@@ -36,8 +36,9 @@ def decode_deletions(D: ReadMatrix, params: CodeParams, trace: Trace | None = No
     """Recover the stored track from a read matrix with at most k deletions per head.
 
     ``trace`` receives the stages bootstrap, sync, intervals, restore and
-    finish, one ``interval`` event per interval and one ``heavy`` event (the
-    README's ``decode --report`` section lists their fields).
+    finish, one ``count_vote`` event per interval counted by shift probes, one
+    ``interval`` event per interval and one ``heavy`` event (the README's
+    ``decode --report`` section lists their fields).
     """
     if trace is None:
         trace = Trace()
@@ -46,7 +47,7 @@ def decode_deletions(D: ReadMatrix, params: CodeParams, trace: Trace | None = No
     layout = boot.layout
     with trace.stage("sync"):
         try:
-            report = build_report(D, params, total_deletions=-boot.sigma)
+            report = build_report(D, params, total_deletions=-boot.sigma, trace=trace)
         except RtCodecError as e:
             raise DecodeFailure("sync", str(e)) from e
         est = align_and_recover_clean_bits(D, report, layout.f_len)

@@ -113,14 +113,18 @@ def count_deletions_in_interval(
 
 
 def build_report(
-    D: ReadMatrix, params: CodeParams, total_deletions: int | None = None
+    D: ReadMatrix,
+    params: CodeParams,
+    total_deletions: int | None = None,
+    trace: Trace | None = None,
 ) -> IntervalReport:
     """Identify intervals and determine their deletion counts.
 
     The shift-probe vote is only guaranteed inside the period-capped prefix.
     When ``total_deletions`` is supplied, the trailing interval (which always
     reaches the last read column and may extend into uncapped redundancy) is
-    counted by subtraction instead.
+    counted by subtraction instead. ``trace`` receives what each probe count
+    records (see ``count_deletions_in_interval``).
     """
     intervals = identify_intervals(D, params)
     counts = []
@@ -131,7 +135,7 @@ def build_report(
                 raise MajorityTie("interval counts exceed the total deletion count")
             counts.append(remainder)
         else:
-            counts.append(count_deletions_in_interval(D, (s, e), params))
+            counts.append(count_deletions_in_interval(D, (s, e), params, trace))
     return IntervalReport(tuple(intervals), tuple(counts))
 
 

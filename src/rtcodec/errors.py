@@ -26,11 +26,8 @@ class FieldTooSmall(RtCodecError):
 
 
 class TooManyErasures(RtCodecError):
-    """More erasures than the code's parity can restore."""
-
-
-class UnsupportedErasurePattern(RtCodecError):
-    """Erasure layout the pair-parity code cannot handle (non-consecutive pair)."""
+    """Erasures the code's parity cannot restore: more than the RS parity, or
+    for pair parity more than one block or two adjacent ones."""
 
 
 class MalformedRepetition(RtCodecError):
@@ -42,15 +39,7 @@ class UnsupportedK(RtCodecError):
 
 
 class HashRecoveryFailed(RtCodecError):
-    """Block content could not be recovered from its hash.
-
-    ``block_index`` is the 1-based index of the failing block, or None when the
-    failure is not block-specific.
-    """
-
-    def __init__(self, message: str, block_index: int | None = None):
-        super().__init__(message)
-        self.block_index = block_index
+    """Block content could not be recovered from its hash."""
 
 
 class MajorityTie(RtCodecError):

@@ -35,14 +35,26 @@ def write_codeword(path, bits: BitArray, params: CodeParams, layout_info: dict |
     sidecar_path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_codeword(path) -> tuple[BitArray, CodeParams]:
-    bits = read_track(path)
-    doc = json.loads(sidecar_path(path).read_text())
+def read_sidecar(path) -> CodeParams:
+    """The code parameters in a sidecar file.
+
+    An unreadable file raises OSError; a file that is not a JSON object of
+    this schema with valid parameters raises ParamViolation.
+    """
+    text = Path(path).read_text()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParamViolation(f"sidecar is not JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParamViolation("sidecar is not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported sidecar schema {doc.get('schema_version')}")
-    return bits, CodeParams.from_dict(doc.get("params"))
+        raise ParamViolation(f"unsupported sidecar schema {doc.get('schema_version')}")
+    return CodeParams.from_dict(doc.get("params"))
+
+
+def read_codeword(path) -> tuple[BitArray, CodeParams]:
+    return read_track(path), read_sidecar(sidecar_path(path))
 
 
 def write_matrix(path, matrix: ReadMatrix) -> None:

@@ -169,7 +169,7 @@ class ColoringHasher(DeletionHasher):
 
     @staticmethod
     def _subsequences(value: int, m: int, k: int) -> set[tuple[int, int]]:
-        """All (length, value) results of up to-k deletions from an m-bit value."""
+        """All (length, value) results of k deletions from an m-bit value."""
         level = {(m, value)}
         for _ in range(k):
             nxt = set()
@@ -228,48 +228,36 @@ class ColoringHasher(DeletionHasher):
         target = int_from_bits(as_bits(h))
         colors, _ = self._table(m, k)
         matches: set[int] = set()
-        for cand in _edit_completions(y, m, k):
+        for cand in self._edit_completions(y, m, k):
             if colors[cand] == target:
                 matches.add(cand)
         if len(matches) != 1:
             raise HashRecoveryFailed(f"{len(matches)} candidates share the declared color")
         return bits_from_int(matches.pop(), m)
 
-
-def _edit_completions(y: BitArray, m: int, k: int):
-    """All m-bit values that can yield window y under r deletions + s insertions, r+s <= k."""
-    y_int = int_from_bits(y) if len(y) else 0
-    L = len(y)
-    out: set[int] = set()
-    for s in range(k + 1):
-        r = m - L + s
-        if r < 0 or r + s > k or s > L:
-            continue
-        shrunk = {(L, y_int)} if s == 0 else set()
-        if s:
-            level = {(L, y_int)}
-            for _ in range(s):
-                nxt = set()
-                for length, v in level:
-                    for pos in range(length):
-                        hi = (v >> (length - pos)) << (length - 1 - pos)
-                        lo = v & ((1 << (length - 1 - pos)) - 1)
-                        nxt.add((length - 1, hi | lo))
-                level = nxt
-            shrunk = level
-        for length, v in shrunk:
-            grown = {(length, v)}
-            for _ in range(r):
-                nxt = set()
-                for ln, w in grown:
-                    for pos in range(ln + 1):
-                        hi = (w >> (ln - pos)) << (ln - pos + 1)
-                        lo = w & ((1 << (ln - pos)) - 1)
-                        for b in (0, 1):
-                            nxt.add((ln + 1, hi | (b << (ln - pos)) | lo))
-                grown = nxt
-            out.update(v2 for ln2, v2 in grown if ln2 == m)
-    return out
+    @classmethod
+    def _edit_completions(cls, y: BitArray, m: int, k: int) -> set[int]:
+        """All m-bit values that can yield window y under r deletions + s insertions, r+s <= k."""
+        y_int = int_from_bits(y) if len(y) else 0
+        L = len(y)
+        out: set[int] = set()
+        for s in range(k + 1):
+            r = m - L + s
+            if r < 0 or r + s > k or s > L:
+                continue
+            for length, v in cls._subsequences(y_int, L, s):
+                grown = {(length, v)}
+                for _ in range(r):
+                    nxt = set()
+                    for ln, w in grown:
+                        for pos in range(ln + 1):
+                            hi = (w >> (ln - pos)) << (ln - pos + 1)
+                            lo = w & ((1 << (ln - pos)) - 1)
+                            for b in (0, 1):
+                                nxt.add((ln + 1, hi | (b << (ln - pos)) | lo))
+                    grown = nxt
+                out.update(v2 for ln2, v2 in grown if ln2 == m)
+        return out
 
 
 _REGISTRY = {
@@ -288,64 +276,7 @@ def make_hasher(name: str, coloring_budget: int = 16) -> DeletionHasher:
     return _REGISTRY[name]()
 
 
-# ---------------------------------------------------------------------------
-# Block hashing
-
-
-class BlockHashVector:
-    """Per-block hash strings for a track split into fixed-length blocks."""
-
-    def __init__(self, block_len: int, total_len: int, hashes: list[BitArray]):
-        self.block_len = block_len
-        self.total_len = total_len
-        self.hashes = [as_bits(h) for h in hashes]
-
-    @property
-    def block_count(self) -> int:
-        return len(self.hashes)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BlockHashVector)
-            and self.block_len == other.block_len
-            and self.total_len == other.total_len
-            and len(self.hashes) == len(other.hashes)
-            and all(np.array_equal(a, b) for a, b in zip(self.hashes, other.hashes))
-        )
-
-
 def block_bounds(total_len: int, block_len: int) -> list[tuple[int, int]]:
     """1-based inclusive (start, end) per block; the last block may be short."""
     count = (total_len + block_len - 1) // block_len
     return [(i * block_len + 1, min((i + 1) * block_len, total_len)) for i in range(count)]
-
-
-def hash_blocks(f, block_len: int, k: int, hasher: DeletionHasher) -> BlockHashVector:
-    """Hash consecutive blocks of f (block i covers [(i-1)B+1, min(iB, len)])."""
-    f = as_bits(f)
-    hashes = [hasher.hash(f[s - 1 : e], k) for s, e in block_bounds(len(f), block_len)]
-    return BlockHashVector(block_len, len(f), hashes)
-
-
-def recover_blocks(subseq, hashes: BlockHashVector, k: int, hasher: DeletionHasher) -> BitArray:
-    """Rebuild the full track from a subsequence missing at most k bits.
-
-    Block i is pinned by the window [(i-1)B+1, min(iB, total)-k] of the
-    subsequence, which is a within-budget subsequence of block i no matter
-    where the deletions fell. Requires block_len > k.
-    """
-    d = as_bits(subseq)
-    B = hashes.block_len
-    total = hashes.total_len
-    if B <= k:
-        raise ValueError("block length must exceed the deletion budget")
-    if len(d) != total - k:
-        raise ValueError(f"expected a {total - k}-bit subsequence, got {len(d)} bits")
-    out = []
-    for i, (s, e) in enumerate(block_bounds(total, B)):
-        window = d[s - 1 : max(s - 1, e - k)]
-        try:
-            out.append(hasher.recover(window, hashes.hashes[i], e - s + 1, k))
-        except HashRecoveryFailed as err:
-            raise HashRecoveryFailed(str(err), block_index=i + 1) from err
-    return np.concatenate(out) if out else as_bits([])

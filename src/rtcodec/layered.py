@@ -142,11 +142,6 @@ def restore_blocks(
     Returns the new estimate and the substituted block indices.
     """
     hasher = params.hasher()
-    if params.regime == "pair":
-        if len(erased) > 2 or (len(erased) == 2 and erased[1] - erased[0] != 1):
-            raise DecodeFailure("erasure", f"pair parity cannot restore blocks {erased}")
-    elif len(erased) > layout.parity_groups:
-        raise DecodeFailure("erasure", f"{len(erased)} erased blocks exceed parity {layout.parity_groups}")
     block_groups: list[list[int] | None] = []
     for i, (s, e) in enumerate(layout.blocks):
         if i in erased:

@@ -15,15 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitArray, as_bits, bits_from_int
-from .errors import DecodeFailure, ParamViolation
+from .algebra import rs_decode_errors_erasures, rs_parity_lanes
+from .errors import DecodeFailure, ParamViolation, TooManyErasures
 from .gf import GF
 from .hashing import block_bounds
-from .algebra import (
-    SymbolString,
-    oddeven_restore,
-    rs_decode_errors_erasures,
-    rs_parity_lanes,
-)
 from .params import CodeParams
 
 
@@ -149,33 +144,36 @@ def _lanes(block_groups: list[list[int]], layout: Layout) -> np.ndarray:
     return np.array(block_groups, dtype=np.int64).reshape(len(block_groups), layout.group_symbols)
 
 
+def _pair_parity(lanes: np.ndarray) -> np.ndarray:
+    """XOR of the even rows and XOR of the odd rows of ``lanes``: shape (2, g)."""
+    return np.stack([np.bitwise_xor.reduce(lanes[0::2], axis=0), np.bitwise_xor.reduce(lanes[1::2], axis=0)])
+
+
 def parity_groups_pair(block_groups: list[list[int]], layout: Layout) -> list[list[int]]:
     """Lane-wise odd/even parity over block groups: two parity groups."""
-    lanes = _lanes(block_groups, layout)
-    return [
-        np.bitwise_xor.reduce(lanes[0::2], axis=0).tolist(),
-        np.bitwise_xor.reduce(lanes[1::2], axis=0).tolist(),
-    ]
+    return _pair_parity(_lanes(block_groups, layout)).tolist()
 
 
 def restore_pair(
     block_groups: list[list[int] | None], parity: list[list[int]], layout: Layout
 ) -> list[list[int]]:
-    """Fill None block groups (at most two, consecutive) lane by lane."""
-    g = layout.group_symbols
+    """Fill None block groups (at most two, consecutive) lane by lane.
+
+    Blocks alternate between the two parity classes, so each class loses at
+    most one block: its groups are the class's parity XOR the class's other
+    groups.
+    """
     erased = [i for i, grp in enumerate(block_groups) if grp is None]
-    out = [list(grp) if grp is not None else [0] * g for grp in block_groups]
-    for lane in range(g):
-        lane_syms: list[int | None] = [
-            None if block_groups[i] is None else block_groups[i][lane] for i in range(len(block_groups))
-        ]
-        fixed = oddeven_restore(lane_syms, (parity[0][lane], parity[1][lane]))
-        for i in erased:
-            out[i][lane] = fixed[i]
-    # no unknowns: verify both parity equations as a consistency check
-    if not erased and parity_groups_pair(block_groups, layout) != [list(p) for p in parity]:
+    if len(erased) > 2 or (len(erased) == 2 and erased[1] - erased[0] != 1):
+        raise TooManyErasures(f"pair parity cannot restore blocks {erased}")
+    zero = [0] * layout.group_symbols
+    lanes = _lanes([zero if grp is None else grp for grp in block_groups], layout)
+    residue = np.array(parity, dtype=np.int64).reshape(2, layout.group_symbols) ^ _pair_parity(lanes)
+    if not erased and residue.any():
         raise DecodeFailure("erasure", "pair parity mismatch with no erasures")
-    return out
+    for i in erased:
+        lanes[i] = residue[i % 2]
+    return lanes.tolist()
 
 
 def parity_groups_rs(block_groups: list[list[int]], layout: Layout) -> list[list[int]]:
@@ -195,23 +193,18 @@ def restore_rs(
     was corrected). Raises DecodeFailure if any lane fails or the corrected
     block count exceeds ``max_errors``.
     """
-    g = layout.group_symbols
     r = layout.parity_groups
-    nb = len(block_groups)
-    erased = {i for i, grp in enumerate(block_groups) if grp is None}
+    erased = [i for i, grp in enumerate(block_groups) if grp is None]
     corrected: set[int] = set()
-    out = [list(grp) if grp is not None else [0] * g for grp in block_groups]
-    for lane in range(g):
-        symbols = tuple(
-            (0 if i in erased else block_groups[i][lane]) for i in range(nb)
-        ) + tuple(parity[j][lane] for j in range(r))
-        mask = tuple(i in erased for i in range(nb)) + (False,) * r
-        word = SymbolString(symbols, mask)
-        fixed = rs_decode_errors_erasures(word, r, layout.symbol_bits)
-        for i in range(nb):
-            if i not in erased and fixed.symbols[i] != symbols[i]:
+    out = [list(grp) if grp is not None else [0] * layout.group_symbols for grp in block_groups]
+    for lane in range(layout.group_symbols):
+        symbols = [grp[lane] for grp in out] + [parity[j][lane] for j in range(r)]
+        fixed = rs_decode_errors_erasures(symbols, erased, r, layout.symbol_bits)
+        for i, grp in enumerate(out):
+            if fixed[i] != grp[lane]:
                 corrected.add(i)
-            out[i][lane] = fixed.symbols[i]
+                grp[lane] = fixed[i]
+    corrected.difference_update(erased)
     if len(corrected) > max_errors:
         raise DecodeFailure("erasure", f"{len(corrected)} substituted blocks exceed budget {max_errors}")
     return out, sorted(corrected)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bits import BitArray, as_bits, bits_from_int, ceil_log2, int_from_bits
+from .bits import BitArray, agreement_run_starts, as_bits, bits_from_int, ceil_log2, int_from_bits
 from .errors import NotInImage
 
 
@@ -22,12 +22,7 @@ def longest_periodic_run(bits, period: int) -> int:
     n = len(c)
     if not 1 <= period <= n:
         raise ValueError(f"period must be in [1, {n}]")
-    eq = c[period:] == c[:-period]
-    best = run = 0
-    for v in eq:
-        run = run + 1 if v else 0
-        best = max(best, run)
-    return best + period
+    return int(agreement_run_starts(c[period:] == c[:-period]).max(initial=0)) + period
 
 
 def max_periodic_run(bits, k: int) -> int:

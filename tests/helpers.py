@@ -330,3 +330,132 @@ def reference_edit_distance(a, b) -> int:
                 cur[j] = 1 + min(prev[j], cur[j - 1])
         prev = cur
     return prev[m]
+
+
+def reference_oddeven_parity(symbols) -> tuple[int, int]:
+    """(xor of 1-based odd positions, xor of even positions) over GF(2^w)."""
+    p_odd = p_even = 0
+    for i, s in enumerate(symbols):
+        if i % 2 == 0:
+            p_odd ^= int(s)
+        else:
+            p_even ^= int(s)
+    return p_odd, p_even
+
+
+# ---------------------------------------------------------------------------
+# reference repetition decoders: the run parse as a loop over runs, and the
+# numpy DP, kept as oracles for the vectorised parse and the plain DP
+
+
+def reference_rep_run_parse(y, fold: int):
+    """Deletion-only parse: round each run up to whole symbols; None if over budget."""
+    from math import ceil
+
+    from rtcodec.bits import as_bits
+
+    if len(y) == 0:
+        return as_bits([]), 0
+    changes = np.flatnonzero(np.diff(y)) + 1
+    bounds = np.concatenate(([0], changes, [len(y)]))
+    msg, deficit = [], 0
+    for i in range(len(bounds) - 1):
+        length = int(bounds[i + 1] - bounds[i])
+        copies = ceil(length / fold)
+        deficit += copies * fold - length
+        msg.extend([int(y[bounds[i]])] * copies)
+    if deficit > fold - 1:
+        return None
+    return np.array(msg, dtype=np.uint8), deficit
+
+
+def reference_rep_decode_dp(y, fold: int, msg_len: int) -> np.ndarray:
+    """Banded repetition DP with numpy over all drift pairs of one symbol at a time."""
+    from rtcodec.errors import MalformedRepetition
+
+    budget = fold - 1
+    drift = len(y) - fold * msg_len
+    if abs(drift) > budget:
+        raise MalformedRepetition(f"length drift {drift} exceeds budget {budget}")
+    ones = np.concatenate(([0], np.cumsum(y, dtype=np.int64)))
+    width = 2 * budget + 1
+    sigmas = np.arange(-budget, budget + 1)
+    INF = np.int64(1 << 30)
+    cost = np.full(width, INF, dtype=np.int64)
+    cost[budget] = 0
+    parent_sigma = np.zeros((msg_len, width), dtype=np.int8)
+    parent_bit = np.zeros((msg_len, width), dtype=np.int8)
+    for i in range(msg_len):
+        starts = fold * i + sigmas
+        ends = fold * (i + 1) + sigmas
+        ok_start = (starts >= 0) & (starts <= len(y))
+        ok_end = (ends >= 0) & (ends <= len(y))
+        s_clip = np.clip(starts, 0, len(y))
+        e_clip = np.clip(ends, 0, len(y))
+        span = e_clip[None, :] - s_clip[:, None]
+        n1 = ones[e_clip][None, :] - ones[s_clip][:, None]
+        n0 = span - n1
+        valid = ok_start[:, None] & ok_end[None, :] & (span >= 0)
+        base = fold + span
+        cost1 = np.where(valid, base - 2 * np.minimum(fold, n1), INF)
+        cost0 = np.where(valid, base - 2 * np.minimum(fold, n0), INF)
+        tot1 = cost[:, None] + cost1
+        tot0 = cost[:, None] + cost0
+        best1, arg1 = tot1.min(axis=0), tot1.argmin(axis=0)
+        best0, arg0 = tot0.min(axis=0), tot0.argmin(axis=0)
+        take1 = best1 <= best0
+        cost = np.where(take1, best1, best0)
+        parent_bit[i] = take1.astype(np.int8)
+        parent_sigma[i] = np.where(take1, arg1, arg0).astype(np.int8)
+    end_state = budget + drift
+    if cost[end_state] > budget:
+        raise MalformedRepetition("no parse within the edit budget")
+    out = np.zeros(msg_len, dtype=np.uint8)
+    state = end_state
+    for i in range(msg_len - 1, -1, -1):
+        out[i] = parent_bit[i][state]
+        state = int(parent_sigma[i][state])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the outer codes on a single lane, in the shape of one symbol string
+
+
+def one_lane_layout(width: int = 8):
+    """A layout whose block groups are single w-bit symbols, with two parity groups."""
+    from rtcodec.layout import Layout
+
+    return Layout(
+        n=1, k=1, f_len=1, block_len=2, blocks=(), hash_bits=width,
+        group_symbols=1, symbol_bits=width, parity_groups=2, rlayer_hash_bits=0,
+    )
+
+
+def rs_codeword(msg, redundancy: int, width: int = 8) -> list[int]:
+    """msg followed by its systematic RS parity (one lane of ``rs_parity_lanes``)."""
+    from rtcodec.algebra import rs_parity_lanes
+
+    parity = rs_parity_lanes(np.array(msg, dtype=np.int64).reshape(-1, 1), redundancy, width)
+    return [int(s) for s in msg] + parity[:, 0].tolist()
+
+
+def erase(cw, positions) -> list[int]:
+    """cw with the symbols at ``positions`` zeroed."""
+    return [0 if i in positions else s for i, s in enumerate(cw)]
+
+
+def pair_parity(symbols) -> tuple[int, int]:
+    """Odd/even parity of a symbol string through ``parity_groups_pair``."""
+    from rtcodec.layout import parity_groups_pair
+
+    odd, even = parity_groups_pair([[s] for s in symbols], one_lane_layout())
+    return odd[0], even[0]
+
+
+def pair_restore(word, parity: tuple[int, int]) -> list[int]:
+    """Fill the None symbols of ``word`` through ``restore_pair``."""
+    from rtcodec.layout import restore_pair
+
+    groups = [None if s is None else [s] for s in word]
+    return [grp[0] for grp in restore_pair(groups, [[parity[0]], [parity[1]]], one_lane_layout())]

@@ -11,14 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rtcodec.algebra import (
-    SymbolString,
-    oddeven_parity,
-    oddeven_restore,
-    rep_decode,
-    rs_decode_erasures,
-    rs_encode,
-)
+from rtcodec.algebra import rep_decode, rs_decode_errors_erasures
 from rtcodec.bits import bits_from_int, ceil_log2
 from rtcodec.delcodec import decode_deletions, deletion_layout, encode_deletions
 from rtcodec.delsync import build_report
@@ -42,6 +35,10 @@ from helpers import (
     cluster_interval_assignment,
     edit_ball,
     edit_clusters,
+    erase,
+    pair_parity,
+    pair_restore,
+    rs_codeword,
 )
 
 
@@ -86,25 +83,21 @@ def test_criterion_2_subcodes():
     rs_checked = 0
     for m_len in range(1, 8):
         for r in range(0, 8 - m_len + 1):
-            msg = SymbolString(tuple(rng.randrange(256) for _ in range(m_len)))
-            cw = rs_encode(msg, r)
+            msg = [rng.randrange(256) for _ in range(m_len)]
+            cw = rs_codeword(msg, r)
             for e in range(r + 1):
                 for pos in combinations(range(m_len + r), e):
-                    mask = tuple(i in pos for i in range(m_len + r))
-                    word = SymbolString(
-                        tuple(0 if mask[i] else s for i, s in enumerate(cw.symbols)), mask
-                    )
-                    assert rs_decode_erasures(word, r).symbols == msg.symbols
+                    assert rs_decode_errors_erasures(erase(cw, pos), pos, r)[:m_len] == msg
                     rs_checked += 1
     # pair parity, every consecutive pair at lengths <= 64
     pair_checked = 0
     for n in range(2, 65):
         syms = [rng.randrange(256) for _ in range(n)]
-        parity = oddeven_parity(syms)
+        parity = pair_parity(syms)
         for j in range(n - 1):
             word = list(syms)
             word[j] = word[j + 1] = None
-            assert oddeven_restore(word, parity) == syms
+            assert pair_restore(word, parity) == syms
             pair_checked += 1
     # repetition, every mixed <= k edit, message length <= 6, k <= 3
     rep_checked = 0

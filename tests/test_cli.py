@@ -75,6 +75,7 @@ def test_decode_truncated_file_is_io_error(tmp_path):
     mat.write_text(text[: len(text) // 2])
     rc = main(["decode", "--in", str(mat), "--sidecar", str(cw) + ".json", "--out", str(tmp_path / "x")])
     assert rc == 4
+    assert main(["corrupt", "--in", str(tmp_path / "missing.track"), "--out", str(mat)]) == 4
 
 
 def test_decode_failure_exit_code(tmp_path):
@@ -144,16 +145,29 @@ def test_oracle_ball_disjoint(tmp_path):
     assert main(["oracle", "ball-disjoint", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["disjoint"] is True and doc["pairs"] == 15
+    # the oracle builds deletion balls only, so any other mode is a config error
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "mode": "edit"}))
+    assert main(["oracle", "ball-disjoint", "--config", str(cfg), "--out", str(out)]) == 3
 
 
 MISSING = object()
 
 
 @pytest.mark.parametrize(
-    "key,value", [("t", [5]), ("k", "2"), ("symbol_bits", 12), ("k", MISSING), ("params", MISSING)]
+    "key,value",
+    [
+        ("t", [5]),
+        ("k", "2"),
+        ("symbol_bits", 12),
+        ("k", MISSING),
+        ("params", MISSING),
+        ("schema_version", 99),
+        ("json", '{"schema_version": 1,'),
+    ],
 )
 def test_decode_bad_sidecar_is_config_error(tmp_path, capsys, key, value):
-    """A sidecar whose parameters are missing, out of range or of the wrong type exits 3 with one line."""
+    """A sidecar that is not JSON, has the wrong schema, or whose parameters are
+    missing, out of range or of the wrong type exits 3 with one line."""
     msg = tmp_path / "msg.track"
     write_random_track(msg, 128, 5)
     cw = tmp_path / "cw.track"
@@ -161,14 +175,16 @@ def test_decode_bad_sidecar_is_config_error(tmp_path, capsys, key, value):
     assert main(["encode", "--in", str(msg), "--out", str(cw), "--k", "2", "--d", "2"]) == 0
     assert main(["corrupt", "--in", str(cw), "--out", str(mat), "--seed", "6"]) == 0
     doc = json.loads(Path(str(cw) + ".json").read_text())
-    if value is not MISSING:
+    if key in ("schema_version", "json"):
+        doc[key] = value
+    elif value is not MISSING:
         doc["params"][key] = value
     elif key == "params":
         del doc["params"]
     else:
         del doc["params"][key]
     sidecar = tmp_path / "bad.json"
-    sidecar.write_text(json.dumps(doc))
+    sidecar.write_text(value if key == "json" else json.dumps(doc))
     capsys.readouterr()
     rc = main(["decode", "--in", str(mat), "--sidecar", str(sidecar), "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
@@ -176,14 +192,20 @@ def test_decode_bad_sidecar_is_config_error(tmp_path, capsys, key, value):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("sidecar", ["[1, 2]", '{"schema_version": 1}'])
+@pytest.mark.parametrize("sidecar", ["[1, 2]", '{"schema_version": 1}', "schema_version=99", '{"schema_version": 1,'])
 def test_corrupt_bad_sidecar_is_config_error(tmp_path, capsys, sidecar):
-    """A sidecar that is not an object, or has no parameters, exits 3 with one line."""
+    """A sidecar that is not JSON or not an object, has the wrong schema, or has
+    no parameters, exits 3 with one line."""
     msg = tmp_path / "msg.track"
     write_random_track(msg, 64, 4)
     cw = tmp_path / "cw.track"
     assert main(["encode", "--in", str(msg), "--out", str(cw), "--k", "2", "--d", "2"]) == 0
-    Path(str(cw) + ".json").write_text(sidecar)
+    path = Path(str(cw) + ".json")
+    if sidecar == "schema_version=99":  # the encoder's own sidecar, but another schema
+        doc = json.loads(path.read_text())
+        doc["schema_version"] = 99
+        sidecar = json.dumps(doc)
+    path.write_text(sidecar)
     capsys.readouterr()
     assert main(["corrupt", "--in", str(cw), "--out", str(tmp_path / "r.mat")]) == 3
     err = capsys.readouterr().err

@@ -163,11 +163,11 @@ def test_read_check_rejects_dropped_interval():
     assert err.value.stage == "verify"
 
 
-@pytest.mark.parametrize("k", [3, 4], ids=["pair", "rs"])
-def test_trace_stages_and_events(k):
-    params = CodeParams.deletion(512, k, 2)
+@pytest.mark.parametrize("k,n,probed", [(3, 512, 0), (4, 512, 0), (2, 4096, 1)], ids=["pair", "rs", "pair-n4096"])
+def test_trace_stages_and_events(k, n, probed):
+    params = CodeParams.deletion(n, k, 2)
     rng = random.Random(20 + k)
-    msg = BitTrack([rng.randrange(2) for _ in range(512)])
+    msg = BitTrack([rng.randrange(2) for _ in range(n)])
     cw = BitTrack(encode_deletions(msg, params))
     D = apply_deletions(cw, DeletionPattern((100, 101, 300)[: k - 1]), params.geometry)
     trace = Trace()
@@ -178,3 +178,7 @@ def test_trace_stages_and_events(k):
     assert {iv["outcome"] for iv in intervals} <= {"recovered", "heavy", "redundancy"}
     assert sum(iv["count"] for iv in intervals) == k - 1
     assert len(trace.of_kind("heavy")) == 1
+    # the trailing interval is counted by subtraction, every other one by a probe vote
+    spans = [iv["read_span"] for iv in intervals if iv["read_span"][1] != D.cols]
+    assert len(spans) == probed
+    assert [vote["interval"] for vote in trace.of_kind("count_vote")] == spans

@@ -5,7 +5,6 @@ implementations in ``helpers``, on a seeded corpus."""
 import numpy as np
 import pytest
 
-from rtcodec.algebra import oddeven_parity
 from rtcodec.bits import agreement_run_starts, bits_from_int, format_track, parse_track
 from rtcodec.files import read_matrix, write_matrix
 from rtcodec.layout import (
@@ -24,6 +23,7 @@ from helpers import (
     reference_agreement_run_starts,
     reference_cap_periods,
     reference_format_track,
+    reference_oddeven_parity,
     reference_parity_groups_rs,
     reference_parse_track,
 )
@@ -121,7 +121,7 @@ def test_pair_parity_matches_per_lane_reference():
     for _ in range(40):
         blocks, g = int(rng.integers(0, 30)), int(rng.integers(1, 12))
         groups = rng.integers(0, 256, (blocks, g)).tolist()
-        want = [[oddeven_parity([grp[lane] for grp in groups])[j] for lane in range(g)] for j in range(2)]
+        want = [[reference_oddeven_parity([grp[lane] for grp in groups])[j] for lane in range(g)] for j in range(2)]
         assert parity_groups_pair(groups, make_layout(2, g, 8)) == want
 
 

@@ -6,16 +6,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rtcodec.bits import as_bits, bits_from_int, ceil_log2
+from rtcodec.bits import UNKNOWN, as_bits, bits_from_int, ceil_log2
 from rtcodec.errors import BudgetExceeded, HashRecoveryFailed, UnsupportedK
-from rtcodec.hashing import (
-    ColoringHasher,
-    IdentityHasher,
-    VtHasher,
-    block_bounds,
-    hash_blocks,
-    recover_blocks,
-)
+from rtcodec.hashing import ColoringHasher, IdentityHasher, VtHasher, block_bounds
+from rtcodec.layered import restore_blocks
+from rtcodec.layout import build_layout, pack_group, parity_groups_pair
+from rtcodec.params import CodeParams
 
 from helpers import edit_ball
 
@@ -133,48 +129,62 @@ def test_block_bounds():
 def test_hash_blocks_single_and_ragged():
     h = IdentityHasher()
     f = as_bits([1, 0] * 10)
-    S = hash_blocks(f, 20, 1, h)
-    assert S.block_count == 1 and np.array_equal(S.hashes[0], f)
-    S = hash_blocks(f, 8, 1, h)
-    assert S.block_count == 3 and len(S.hashes[2]) == 4
+    hashes = [h.hash(f[s - 1 : e], 1) for s, e in block_bounds(len(f), 20)]
+    assert len(hashes) == 1 and np.array_equal(hashes[0], f)
+    hashes = [h.hash(f[s - 1 : e], 1) for s, e in block_bounds(len(f), 8)]
+    assert len(hashes) == 3 and len(hashes[2]) == 4
+
+
+def restore_every_block(f, subseq, block_len: int, k: int) -> None:
+    """Erase each block of f in turn and check that ``layered.restore_blocks``
+    rebuilds f: the block's coloring hash comes back from the pair parity, and
+    its content from that hash and its window of ``subseq`` (f less k bits)."""
+    params = CodeParams.relaxed(len(f) - k - 1, k, (40,), block_len=block_len, hash_mode="coloring")
+    layout = build_layout(params)
+    assert params.regime == "pair" and layout.f_len == len(f)
+    hasher = params.hasher()
+    groups = [pack_group(hasher.hash(f[s - 1 : e], k), layout) for s, e in layout.blocks]
+    parity = parity_groups_pair(groups, layout)
+    for i, (s, e) in enumerate(layout.blocks):
+        est = f.copy()
+        est[s - 1 : e] = UNKNOWN
+        out, _ = restore_blocks(est, [i], parity, layout, params, subseq, len(subseq) - len(f), 0)
+        assert np.array_equal(out, f), f"block {i + 1}"
 
 
 def test_recover_blocks_zero_deletions():
-    h = ColoringHasher(16)
     rng = random.Random(2)
     f = as_bits([rng.randrange(2) for _ in range(30)])
-    S = hash_blocks(f, 10, 2, h)
-    assert np.array_equal(recover_blocks(np.delete(f, (4, 20)), S, 2, h), f)
+    restore_every_block(f, np.delete(f, (4, 20)), 10, 2)
 
 
 def test_recover_blocks_exhaustive_pairs_in_one_block():
-    h = ColoringHasher(16)
     rng = random.Random(3)
     f = as_bits([rng.randrange(2) for _ in range(40)])
-    S = hash_blocks(f, 10, 2, h)
     for s, e in block_bounds(40, 10):
         for pos in combinations(range(s - 1, e), 2):
-            assert np.array_equal(recover_blocks(np.delete(f, pos), S, 2, h), f)
+            restore_every_block(f, np.delete(f, pos), 10, 2)
 
 
 def test_recover_blocks_localizes_corrupt_hash():
+    """A wrong color for block 2 never yields block 2: recovery raises or
+    returns another block, and at least one wrong color raises."""
     h = ColoringHasher(16)
     rng = random.Random(4)
     f = as_bits([rng.randrange(2) for _ in range(40)])
-    S = hash_blocks(f, 10, 2, h)
     d = np.delete(f, (12, 13))
-    # push block 2's color out of its candidate clique until recovery fails
-    original = S.hashes[1].copy()
-    hit = None
+    block = f[10:20]
+    window = d[10:18]  # block 2's window: bits 11 to 20-k of the subsequence
+    original = h.hash(block, 2)
+    raised = 0
     for wrong in range(1 << len(original)):
-        S.hashes[1] = bits_from_int(wrong, len(original))
-        if np.array_equal(S.hashes[1], original):
+        color = bits_from_int(wrong, len(original))
+        if np.array_equal(color, original):
             continue
         try:
-            out = recover_blocks(d, S, 2, h)
-            assert not np.array_equal(out, f)
-        except HashRecoveryFailed as err:
-            hit = err
-            break
-    assert hit is not None and hit.block_index == 2
-    S.hashes[1] = original
+            out = h.recover(window, color, 10, 2)
+        except HashRecoveryFailed:
+            raised += 1
+            continue
+        assert not np.array_equal(out, block)
+    assert raised > 0
