@@ -2,12 +2,18 @@
 
 Tracks are binary sequences. In memory they are numpy uint8 arrays of 0/1; on
 disk they are either hex files with a ``len=<n>`` header (MSB-first, zero
-padding in the final nibble) or raw ASCII 0/1 lines for fixtures.
+padding in the final nibble) or raw ASCII 0/1 lines for fixtures. Interval
+marking, the interval report, the shift probe and the vote serve both decoders.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
+
 import numpy as np
+
+from .errors import MajorityTie
 
 BitArray = np.ndarray
 
@@ -117,6 +123,73 @@ def unmarked_intervals(rows: np.ndarray, margin: int, min_run: int, last: int) -
     edges = np.diff(np.concatenate(([1], marked, [1])).astype(np.int8))
     starts, ends = np.flatnonzero(edges == -1), np.flatnonzero(edges == 1)
     return [(int(s) + 1, int(e)) for s, e in zip(starts, ends)]
+
+
+@dataclass(frozen=True)
+class IntervalReport:
+    """Read intervals of head 1 with the net shift each one holds.
+
+    A shift is insertions minus deletions, so an interval with c deletions
+    has shift -c. Outside the intervals every read column shows one source
+    bit, displaced by the shifts of the intervals before it.
+    """
+
+    intervals: tuple[tuple[int, int], ...]
+    shifts: tuple[int, ...]
+
+    @property
+    def source_intervals(self) -> tuple[tuple[int, int], ...]:
+        """Source interval j: read interval j with the shifts before and inside it undone."""
+        out = []
+        before = 0
+        for (s, e), x in zip(self.intervals, self.shifts):
+            out.append((s - before, e - before - x))
+            before += x
+        return tuple(out)
+
+    def outside_bits(self, row1: BitArray, source_len: int) -> BitArray:
+        """Source positions 1..source_len filled from the row-1 columns outside
+        all intervals; UNKNOWN elsewhere.
+
+        The gap after interval j shows the source positions right after source
+        interval j. Where gaps map to overlapping source ranges, the later gap
+        wins.
+        """
+        out = np.full(source_len, UNKNOWN, dtype=np.uint8)
+        col, before = 1, 0  # first column of the gap, net shift of the intervals before it
+        for (s, e), x in zip(self.intervals + ((len(row1) + 1, 0),), self.shifts + (0,)):
+            lo, hi = max(col, 1 + before), min(s - 1, source_len + before)
+            if lo <= hi:
+                out[lo - 1 - before : hi - before] = row1[lo - 1 : hi]
+            col, before = e + 1, before + x
+        return out
+
+
+def probe_shift(rowA: BitArray, rowB: BitArray, a: int, b: int, shifts) -> int | None:
+    """The unique x in ``shifts`` with rowA[a, b-x] == rowB[a+x, b].
+
+    1-based inclusive window [a, b]; a negative x compares rowA[a-x, b] with
+    rowB[a, b+x]. None when the window leaves rowA or is no longer than the
+    largest shift, and when no x or several x match.
+    """
+    if a < 1 or b > len(rowA) or b - a + 1 <= max(map(abs, shifts)):
+        return None
+    found = None
+    for x in shifts:
+        lo, hi = max(x, 0), max(-x, 0)
+        if np.array_equal(rowA[a - 1 + hi : b - lo], rowB[a - 1 + lo : b - hi]):
+            if found is not None:
+                return None
+            found = x
+    return found
+
+
+def majority(values, what: str) -> int:
+    """The most common of ``values``; MajorityTie when two values lead."""
+    top = Counter(values).most_common()
+    if len(top) > 1 and top[0][1] == top[1][1]:
+        raise MajorityTie(f"{what} vote tied between {top[0][0]} and {top[1][0]}")
+    return top[0][0]
 
 
 def agreement_run_starts(equal: np.ndarray) -> np.ndarray:

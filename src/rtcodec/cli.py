@@ -52,11 +52,14 @@ class CliError(Exception):
 
 def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise CliError(EXIT_CONFIG, f"bad JSON in {path}: {e}") from e
+    if not isinstance(cfg, dict):
+        raise CliError(EXIT_CONFIG, f"{path} must hold a JSON object")
+    return cfg
 
 
 def _params_from_args(args, n: int) -> CodeParams:

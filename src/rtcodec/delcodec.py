@@ -16,7 +16,7 @@ the d reads. Blocks under the other intervals are restored from their hashes.
 from __future__ import annotations
 
 from .bits import BitArray
-from .delsync import align_and_recover_clean_bits, build_report, recover_interval_multihead
+from .delsync import build_report, recover_interval_multihead
 from .errors import DecodeFailure, RtCodecError
 from .layered import blocks_touched, bootstrap, encode_layered, finish, restore_blocks
 from .layout import build_layout
@@ -47,14 +47,15 @@ def decode_deletions(D: ReadMatrix, params: CodeParams, trace: Trace | None = No
     layout = boot.layout
     with trace.stage("sync"):
         try:
-            report = build_report(D, params, total_deletions=-boot.sigma, trace=trace)
+            report = build_report(D, params, total_shift=boot.sigma, trace=trace)
         except RtCodecError as e:
             raise DecodeFailure("sync", str(e)) from e
-        est = align_and_recover_clean_bits(D, report, layout.f_len)
+        est = report.outside_bits(boot.row1, layout.f_len)
 
     heavy: set[int] = set()
     with trace.stage("intervals"):
-        for (rs_, re_), (s, e), cnt in zip(report.read_intervals, report.source_intervals, report.counts):
+        for (rs_, re_), (s, e), shift in zip(report.intervals, report.source_intervals, report.shifts):
+            cnt = -shift
             spans = {"read_span": (rs_, re_), "source_span": (s, e), "count": cnt}
             if s > layout.f_len:
                 trace.event("interval", **spans, outcome="redundancy")

@@ -5,51 +5,24 @@ into at most k disjoint read intervals: long stretches where all rows agree
 cannot contain deletions (a deletion would force a long low-period window),
 so their interiors are marked and the unmarked remainder brackets the errors.
 Per-interval deletion counts then come from majority voting over row-1/row-2
-shift probes spaced one head distance apart, and everything outside the
-intervals aligns back to the source by prefix count subtraction.
+shift probes spaced one head distance apart; the report type, the probe, the
+vote and the alignment of everything outside the intervals are shared with
+edit mode (``bits``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .bits import UNKNOWN, BitArray, as_bits, unmarked_intervals
+from .bits import BitArray, IntervalReport, as_bits, majority, probe_shift, unmarked_intervals
 from .errors import Ambiguous, BudgetExceeded, MajorityTie, NoCandidate
 from .model import HeadGeometry, ReadMatrix
 from .params import CodeParams
 from .periodicity import max_periodic_run
 from .trace import Trace
-
-
-@dataclass(frozen=True)
-class IntervalReport:
-    """Read-side intervals, per-interval deletion counts, derived source intervals."""
-
-    read_intervals: tuple[tuple[int, int], ...]
-    counts: tuple[int, ...]
-
-    @property
-    def J(self) -> int:
-        return len(self.read_intervals)
-
-    @property
-    def source_intervals(self) -> tuple[tuple[int, int], ...]:
-        """Source interval j is the read interval shifted by the deletions before/through it."""
-        out = []
-        before = 0
-        for (s, e), c in zip(self.read_intervals, self.counts):
-            out.append((s + before, e + before + c))
-            before += c
-        return tuple(out)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 def identify_intervals(D: ReadMatrix, params: CodeParams) -> list[tuple[int, int]]:
@@ -95,75 +68,41 @@ def count_deletions_in_interval(
             q = p + win - 1  # untruncated end; window in the probe set only if it fits
             if q > b_max:
                 continue
-            x_val, matches = None, 0
-            for x in range(0, k + 1):
-                if np.array_equal(row1[p - 1 : q - x], row2[p - 1 + x : q]):
-                    matches += 1
-                    x_val = x
-            if matches != 1:
+            x_val = probe_shift(row1, row2, p, q, range(k + 1))
+            if x_val is None:
                 x_val = 0
                 trace.counters["count.fallbacks"] += 1
             sums[m] += x_val
     trace.event("count_vote", interval=interval, sums=list(sums.values()))
-    votes = Counter(sums.values())
-    top = votes.most_common()
-    if len(top) > 1 and top[0][1] == top[1][1]:
-        raise MajorityTie(f"count vote tied between {top[0][0]} and {top[1][0]}")
-    return top[0][0]
+    return majority(sums.values(), "count")
 
 
 def build_report(
     D: ReadMatrix,
     params: CodeParams,
-    total_deletions: int | None = None,
+    total_shift: int | None = None,
     trace: Trace | None = None,
 ) -> IntervalReport:
-    """Identify intervals and determine their deletion counts.
+    """Identify intervals and determine their shifts (minus their deletion counts).
 
     The shift-probe vote is only guaranteed inside the period-capped prefix.
-    When ``total_deletions`` is supplied, the trailing interval (which always
-    reaches the last read column and may extend into uncapped redundancy) is
-    counted by subtraction instead. ``trace`` receives what each probe count
-    records (see ``count_deletions_in_interval``).
+    When ``total_shift`` (the read length minus the codeword length) is
+    supplied, the trailing interval (which always reaches the last read column
+    and may extend into uncapped redundancy) gets the remainder instead.
+    ``trace`` receives what each probe count records (see
+    ``count_deletions_in_interval``).
     """
     intervals = identify_intervals(D, params)
-    counts = []
+    shifts = []
     for s, e in intervals:
-        if total_deletions is not None and e == D.cols:
-            remainder = total_deletions - sum(counts)
-            if remainder < 0:
+        if total_shift is not None and e == D.cols:
+            remainder = total_shift - sum(shifts)
+            if remainder > 0:
                 raise MajorityTie("interval counts exceed the total deletion count")
-            counts.append(remainder)
+            shifts.append(remainder)
         else:
-            counts.append(count_deletions_in_interval(D, (s, e), params, trace))
-    return IntervalReport(tuple(intervals), tuple(counts))
-
-
-def align_and_recover_clean_bits(
-    D: ReadMatrix, report: IntervalReport, source_len: int
-) -> BitArray:
-    """Fill source positions outside all intervals from row 1; UNKNOWN elsewhere.
-
-    Source position p outside the intervals appears in row 1 at column
-    p - (deletions in intervals entirely before p).
-    """
-    row1 = D.rows[0]
-    out = np.full(source_len, UNKNOWN, dtype=np.uint8)
-    cursor = 1  # next source position to fill
-    before = 0
-    for (s, e), c in zip(report.source_intervals, report.counts):
-        lo, hi = cursor, min(s - 1, source_len)
-        if lo <= hi:
-            out[lo - 1 : hi] = row1[lo - 1 - before : hi - before]
-        cursor = e + 1
-        before += c
-        if cursor > source_len:
-            break
-    if cursor <= source_len:
-        hi = min(source_len, len(row1) + before)
-        if cursor <= hi:
-            out[cursor - 1 : hi] = row1[cursor - 1 - before : hi - before]
-    return out
+            shifts.append(-count_deletions_in_interval(D, (s, e), params, trace))
+    return IntervalReport(tuple(intervals), tuple(shifts))
 
 
 def recover_interval_multihead(

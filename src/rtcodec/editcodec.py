@@ -30,7 +30,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .bits import BitArray
-from .editsync import build_edit_report, head_reduction_recover, recover_outside_bits
+from .editsync import build_edit_report, head_reduction_recover
 from .errors import DecodeFailure, ReductionStuck, RtCodecError
 from .layered import Bootstrap, blocks_touched, bootstrap, encode_layered, finish, restore_blocks
 from .layout import build_layout
@@ -88,13 +88,11 @@ def decode_edits(E: ReadMatrix, params: CodeParams, trace: Trace | None = None) 
             report = build_edit_report(E, params, total_shift=boot.sigma)
         except RtCodecError as e:
             raise DecodeFailure("sync", str(e)) from e
-        est0 = recover_outside_bits(E, report, f_len)
+        est0 = report.outside_bits(boot.row1, f_len)
 
     outcomes: list[IntervalOutcome] = []
     with trace.stage("intervals"):
-        for j, ((b1, b2), s_j) in enumerate(zip(report.intervals, report.shifts)):
-            src_start = report.source_start(j)
-            src_end = src_start + (b2 - b1 + 1 - s_j) - 1
+        for (b1, b2), (src_start, src_end), s_j in zip(report.intervals, report.source_intervals, report.shifts):
             touches = src_start <= f_len
             estimate, heads_left = None, None
             if touches:

@@ -1,8 +1,9 @@
 """Synchronization under mixed deletions and insertions.
 
 Mixed edits can cancel in length, so marking uses wider margins
-(k*d*t + t per side) than the deletion-only procedure, and intervals carry a
-signed net shift (insertions minus deletions) instead of a count. Inside an
+(k*d*t + t per side) than the deletion-only procedure, and the shift probes
+look both ways, since an interval's net shift (insertions minus deletions)
+can have either sign. Inside an
 interval, the iterative head reduction repairs one head per pass: it finds the
 first column where the rows split, identifies an error-proximal head from the
 minority bit, probes a ladder of windows for the inter-row shift, and splices
@@ -12,34 +13,13 @@ neighbour, producing a matrix with one row fewer and at least one error less.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bits import UNKNOWN, BitArray, column_agreement, unmarked_intervals
+from .bits import BitArray, IntervalReport, column_agreement, majority, probe_shift, unmarked_intervals
 from .errors import MajorityTie, ReductionStuck
 from .model import ReadMatrix
 from .params import CodeParams
 from .trace import Trace
-
-
-@dataclass(frozen=True)
-class EditIntervalReport:
-    """Read-side intervals with their net shifts and change points."""
-
-    intervals: tuple[tuple[int, int], ...]
-    shifts: tuple[int, ...]
-    change_points: tuple[int, ...]
-
-    @property
-    def J(self) -> int:
-        return len(self.intervals)
-
-    def source_start(self, j: int) -> int:
-        """Source position of read column b1j (shifts of earlier intervals undone)."""
-        b1 = self.intervals[j][0]
-        return b1 - sum(s for q, s in zip(self.change_points[:j], self.shifts[:j]) if q < b1)
 
 
 def edit_margin(params: CodeParams) -> int:
@@ -51,27 +31,6 @@ def identify_edit_intervals(E: ReadMatrix, params: CodeParams) -> list[tuple[int
     """All unmarked intervals of the edit marking procedure (1-based, inclusive)."""
     margin = edit_margin(params)
     return unmarked_intervals(E.rows, margin, 2 * margin + 1, E.cols)
-
-
-def _probe_shift(rowA: BitArray, rowB: BitArray, a: int, b: int, k: int) -> int | None:
-    """Unique x with rowA[a, b-x] == rowB[a+x, b] (x >= 0) or the mirrored form.
-
-    1-based inclusive window [a, b]; None when no x or several x match.
-    """
-    if a < 1 or b > len(rowA) or b - a + 1 <= k:
-        return None
-    found = None
-    for x in range(0, k + 1):
-        if np.array_equal(rowA[a - 1 : b - x], rowB[a - 1 + x : b]):
-            if found is not None:
-                return None
-            found = x
-    for x in range(1, k + 1):
-        if np.array_equal(rowA[a - 1 + x : b], rowB[a - 1 : b - x]):
-            if found is not None:
-                return None
-            found = -x
-    return found
 
 
 def net_shift_of_interval(E: ReadMatrix, interval: tuple[int, int], params: CodeParams) -> int:
@@ -103,23 +62,17 @@ def net_shift_of_interval(E: ReadMatrix, interval: tuple[int, int], params: Code
             a = q_im + stride + k  # probe window sits one stride later, shrunk by k
             b = q_im + 2 * stride - k - 1
             if b <= len(row1):
-                x = _probe_shift(row1, row2, a, b, k)
+                x = probe_shift(row1, row2, a, b, range(-k, k + 1))
                 total += x if x is not None else sentinel
             i += 1
             if i > (b2 - b1 + 1) // t + 2:
                 break
         sums[m] = total
-    votes = Counter(sums.values())
-    top = votes.most_common()
-    if len(top) > 1 and top[0][1] == top[1][1]:
-        raise MajorityTie(f"net-shift vote tied between {top[0][0]} and {top[1][0]}")
-    return -top[0][0]
+    return -majority(sums.values(), "net-shift")
 
 
-def build_edit_report(
-    E: ReadMatrix, params: CodeParams, total_shift: int | None = None
-) -> EditIntervalReport:
-    """Intervals plus their net shifts and change points.
+def build_edit_report(E: ReadMatrix, params: CodeParams, total_shift: int | None = None) -> IntervalReport:
+    """Intervals plus their net shifts.
 
     The probe vote is only guaranteed inside the period-capped prefix; when
     ``total_shift`` is supplied, the trailing interval (which always reaches
@@ -127,52 +80,23 @@ def build_edit_report(
     """
     intervals = identify_edit_intervals(E, params)
     agree = column_agreement(E.rows)
-    capped_end = params.n + params.k + 1
-    shifts, qs = [], []
+    shifts = []
     for b1, b2 in intervals:
-        disagree = np.flatnonzero(~agree[b1 - 1 : b2])
-        if len(disagree) == 0:
+        if agree[b1 - 1 : b2].all():
             shifts.append(0)
-            qs.append(b1)
-            continue
-        qs.append(b1 + int(disagree[-1]))
-        if total_shift is not None and b2 == E.cols:
+        elif total_shift is not None and b2 == E.cols:
             shifts.append(total_shift - sum(shifts))
-            continue
-        try:
-            shifts.append(net_shift_of_interval(E, (b1, b2), params))
-        except MajorityTie:
-            if b2 <= capped_end:
-                raise
-            # probes carry no guarantee beyond the period-capped prefix; a
-            # zero placeholder only mis-books the remainder of the trailing
-            # interval, which never feeds positions inside the prefix
-            shifts.append(0)
-    return EditIntervalReport(tuple(intervals), tuple(shifts), tuple(qs))
-
-
-def recover_outside_bits(E: ReadMatrix, report: EditIntervalReport, source_len: int) -> BitArray:
-    """Fill source positions whose row-1 image avoids all intervals.
-
-    A column i past change point q_j was displaced by net shift s_j, so it
-    shows source position i - sum of earlier shifts. Positions inside
-    undetectable error clusters may be wrong; the caller's outer code absorbs
-    those as block substitutions.
-    """
-    est = np.full(source_len, UNKNOWN, dtype=np.uint8)
-    row1 = E.rows[0]
-    order = sorted(range(report.J), key=lambda j: report.change_points[j])
-    cuts = np.array([report.change_points[j] for j in order], dtype=np.int64)
-    shift_cum = np.concatenate(([0], np.cumsum([report.shifts[j] for j in order])))
-    inside = np.zeros(len(row1), dtype=bool)
-    for s, e in report.intervals:
-        inside[s - 1 : e] = True
-    columns = np.arange(1, len(row1) + 1)
-    back = shift_cum[np.searchsorted(cuts, columns, side="left")]
-    source_pos = columns - back
-    ok = ~inside & (source_pos >= 1) & (source_pos <= source_len)
-    est[source_pos[ok] - 1] = row1[ok]
-    return est
+        else:
+            try:
+                shifts.append(net_shift_of_interval(E, (b1, b2), params))
+            except MajorityTie:
+                if b2 <= params.n + params.k + 1:
+                    raise
+                # probes carry no guarantee beyond the period-capped prefix; a
+                # zero placeholder only mis-books the remainder of the trailing
+                # interval, which never feeds positions inside the prefix
+                shifts.append(0)
+    return IntervalReport(tuple(intervals), tuple(shifts))
 
 
 def head_reduction_recover(
@@ -235,7 +159,7 @@ def head_reduction_recover(
         for w in range(1, d_cur):
             for ell in range(1, n_probe + 1):
                 a, b = window(w, ell)
-                got = _probe_shift(rows[w - 1], rows[w], a, b, k)
+                got = probe_shift(rows[w - 1], rows[w], a, b, range(-k, k + 1))
                 x[w - 1][ell] = got if got is not None else sentinel
         z = [0] * (n_probe + 1)
         for ell in range(1, n_probe + 1):

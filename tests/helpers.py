@@ -7,6 +7,8 @@ implementation they judge.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -109,7 +111,8 @@ def check_deletion_report(track_bits, pattern, params, matrix, report) -> None:
     per_head = [set(pattern.head_positions(w, g)) for w in range(1, g.d + 1)]
     src = report.source_intervals
 
-    assert report.J <= k, f"J={report.J} exceeds k={k}"
+    J = len(report.intervals)
+    assert J <= k, f"J={J} exceeds k={k}"
     assert all(e1 < s2 for (_, e1), (s2, _) in zip(src, src[1:])), "source intervals overlap"
 
     # P2: every head's deletions covered
@@ -117,7 +120,8 @@ def check_deletion_report(track_bits, pattern, params, matrix, report) -> None:
         for p in dels:
             assert any(s <= p <= e for s, e in src), f"deletion {p} outside intervals"
 
-    for (rs, re), (s, e), cnt in zip(report.read_intervals, src, report.counts):
+    for (rs, re), (s, e), shift in zip(report.intervals, src, report.shifts):
+        cnt = -shift
         inside = [p for p in delta1 if s <= p <= e]
         assert len(inside) == cnt, f"count {cnt} != truth {len(inside)} in [{s},{e}]"
         # deletion isolation
@@ -137,7 +141,7 @@ def check_deletion_report(track_bits, pattern, params, matrix, report) -> None:
     # clean columns align to one undeleted source bit across heads
     maps = source_index_maps(N, per_head)
     covered = np.zeros(matrix.cols + 1, dtype=bool)
-    for rs, re in report.read_intervals:
+    for rs, re in report.intervals:
         covered[rs : re + 1] = True
     for m in range(1, matrix.cols + 1):
         if covered[m]:
@@ -459,3 +463,146 @@ def pair_restore(word, parity: tuple[int, int]) -> list[int]:
 
     groups = [None if s is None else [s] for s in word]
     return [grp[0] for grp in restore_pair(groups, [[parity[0]], [parity[1]]], one_lane_layout())]
+
+
+# ---------------------------------------------------------------------------
+# the two read-synchronization reports before they merged into
+# ``bits.IntervalReport`` (deletion counts with a prefix-count fill, edit
+# shifts with change points and a per-column fill), kept verbatim as oracles
+# (``REFERENCE_UNKNOWN`` stands for ``bits.UNKNOWN``)
+
+REFERENCE_UNKNOWN = np.uint8(2)
+
+
+@dataclass(frozen=True)
+class ReferenceDeletionReport:
+    """Read-side intervals, per-interval deletion counts, derived source intervals."""
+
+    read_intervals: tuple[tuple[int, int], ...]
+    counts: tuple[int, ...]
+
+    @property
+    def source_intervals(self) -> tuple[tuple[int, int], ...]:
+        """Source interval j is the read interval shifted by the deletions before/through it."""
+        out = []
+        before = 0
+        for (s, e), c in zip(self.read_intervals, self.counts):
+            out.append((s + before, e + before + c))
+            before += c
+        return tuple(out)
+
+
+def reference_align_and_recover_clean_bits(D, report: ReferenceDeletionReport, source_len: int) -> np.ndarray:
+    """Fill source positions outside all intervals from row 1; UNKNOWN elsewhere.
+
+    Source position p outside the intervals appears in row 1 at column
+    p - (deletions in intervals entirely before p).
+    """
+    row1 = D.rows[0]
+    out = np.full(source_len, REFERENCE_UNKNOWN, dtype=np.uint8)
+    cursor = 1  # next source position to fill
+    before = 0
+    for (s, e), c in zip(report.source_intervals, report.counts):
+        lo, hi = cursor, min(s - 1, source_len)
+        if lo <= hi:
+            out[lo - 1 : hi] = row1[lo - 1 - before : hi - before]
+        cursor = e + 1
+        before += c
+        if cursor > source_len:
+            break
+    if cursor <= source_len:
+        hi = min(source_len, len(row1) + before)
+        if cursor <= hi:
+            out[cursor - 1 : hi] = row1[cursor - 1 - before : hi - before]
+    return out
+
+
+def reference_count_probe(row1, row2, p: int, q: int, k: int) -> tuple[int | None, int]:
+    """The shift probe of one deletion-count window: (last matching x, matches)."""
+    x_val, matches = None, 0
+    for x in range(0, k + 1):
+        if np.array_equal(row1[p - 1 : q - x], row2[p - 1 + x : q]):
+            matches += 1
+            x_val = x
+    return x_val, matches
+
+
+@dataclass(frozen=True)
+class ReferenceEditReport:
+    """Read-side intervals with their net shifts and change points."""
+
+    intervals: tuple[tuple[int, int], ...]
+    shifts: tuple[int, ...]
+    change_points: tuple[int, ...]
+
+    @property
+    def J(self) -> int:
+        return len(self.intervals)
+
+    def source_start(self, j: int) -> int:
+        """Source position of read column b1j (shifts of earlier intervals undone)."""
+        b1 = self.intervals[j][0]
+        return b1 - sum(s for q, s in zip(self.change_points[:j], self.shifts[:j]) if q < b1)
+
+
+def reference_source_end(src_start: int, b1: int, b2: int, s_j: int) -> int:
+    """End of the source span behind read interval [b1, b2] with net shift s_j."""
+    return src_start + (b2 - b1 + 1 - s_j) - 1
+
+
+def reference_change_points(rows, intervals) -> tuple[int, ...]:
+    """Per interval, its last disagreeing column (its start when all rows agree)."""
+    agree = (rows == rows[0]).all(axis=0)
+    qs = []
+    for b1, b2 in intervals:
+        disagree = np.flatnonzero(~agree[b1 - 1 : b2])
+        if len(disagree) == 0:
+            qs.append(b1)
+            continue
+        qs.append(b1 + int(disagree[-1]))
+    return tuple(qs)
+
+
+def reference_probe_shift(rowA, rowB, a: int, b: int, k: int) -> int | None:
+    """Unique x with rowA[a, b-x] == rowB[a+x, b] (x >= 0) or the mirrored form.
+
+    1-based inclusive window [a, b]; None when no x or several x match.
+    """
+    if a < 1 or b > len(rowA) or b - a + 1 <= k:
+        return None
+    found = None
+    for x in range(0, k + 1):
+        if np.array_equal(rowA[a - 1 : b - x], rowB[a - 1 + x : b]):
+            if found is not None:
+                return None
+            found = x
+    for x in range(1, k + 1):
+        if np.array_equal(rowA[a - 1 + x : b], rowB[a - 1 : b - x]):
+            if found is not None:
+                return None
+            found = -x
+    return found
+
+
+def reference_recover_outside_bits(E, report: ReferenceEditReport, source_len: int) -> np.ndarray:
+    """Fill source positions whose row-1 image avoids all intervals.
+
+    A column i past change point q_j was displaced by net shift s_j, so it
+    shows source position i - sum of earlier shifts. Positions inside
+    undetectable error clusters may be wrong; the caller's outer code absorbs
+    those as block substitutions.
+    """
+    est = np.full(source_len, REFERENCE_UNKNOWN, dtype=np.uint8)
+    row1 = E.rows[0]
+    order = sorted(range(report.J), key=lambda j: report.change_points[j])
+    cuts = np.array([report.change_points[j] for j in order], dtype=np.int64)
+    shift_cum = np.concatenate(([0], np.cumsum([report.shifts[j] for j in order])))
+    inside = np.zeros(len(row1), dtype=bool)
+    for s, e in report.intervals:
+        inside[s - 1 : e] = True
+    columns = np.arange(1, len(row1) + 1)
+    back = shift_cum[np.searchsorted(cuts, columns, side="left")]
+    source_pos = columns - back
+    ok = ~inside & (source_pos >= 1) & (source_pos <= source_len)
+    est[source_pos[ok] - 1] = row1[ok]
+    return est

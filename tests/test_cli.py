@@ -122,6 +122,10 @@ def test_trial_rejects_unknown_config_keys(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"mode": "del", "n": 64, "k": 2, "d": 2, "bogus": 1}))
     assert main(["trial", "--config", str(cfg_path)]) == 3
+    # a config that is not a JSON object is a config error, not a traceback
+    for bad in (["n"], 5):
+        cfg_path.write_text(json.dumps(bad))
+        assert main(["trial", "--config", str(cfg_path)]) == 3
 
 
 def test_oracle_hasher_and_fsweep(tmp_path):
@@ -148,6 +152,10 @@ def test_oracle_ball_disjoint(tmp_path):
     # the oracle builds deletion balls only, so any other mode is a config error
     cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "mode": "edit"}))
     assert main(["oracle", "ball-disjoint", "--config", str(cfg), "--out", str(out)]) == 3
+    # so is a config that is not a JSON object
+    for bad in (["n"], 5):
+        cfg.write_text(json.dumps(bad))
+        assert main(["oracle", "ball-disjoint", "--config", str(cfg), "--out", str(out)]) == 3
 
 
 MISSING = object()

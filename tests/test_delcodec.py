@@ -8,6 +8,7 @@ import pytest
 
 from rtcodec.delcodec import decode_deletions, deletion_layout, encode_deletions
 from rtcodec.errors import DecodeFailure, ParamViolation
+from rtcodec.layered import bootstrap, restore_blocks
 from rtcodec.model import (
     BitTrack,
     DeletionPattern,
@@ -161,6 +162,22 @@ def test_read_check_rejects_dropped_interval():
     with pytest.raises(DecodeFailure) as err:
         decode_deletions(ReadMatrix(rows, kind="deletion"), params)
     assert err.value.stage == "verify"
+
+
+def test_restore_failure_names_its_stage_once():
+    """A block estimate with one flipped bit and no erased blocks fails the
+    pair parity check; the message carries the ``erasure`` prefix once."""
+    params = CodeParams.deletion(512, 2, 2)
+    rng = random.Random(8)
+    msg = BitTrack([rng.randrange(2) for _ in range(512)])
+    cw = BitTrack(encode_deletions(msg, params))
+    boot = bootstrap(apply_deletions(cw, DeletionPattern(()), params.geometry), params, "deletion")
+    est = cw.bits[: boot.layout.f_len].copy()
+    est[0] ^= 1
+    with pytest.raises(DecodeFailure) as err:
+        restore_blocks(est, [], boot.parity, boot.layout, params, boot.row1, boot.sigma, 0)
+    assert err.value.stage == "erasure"
+    assert str(err.value) == "erasure: pair parity mismatch with no erasures"
 
 
 @pytest.mark.parametrize("k,n,probed", [(3, 512, 0), (4, 512, 0), (2, 4096, 1)], ids=["pair", "rs", "pair-n4096"])

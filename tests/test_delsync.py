@@ -17,7 +17,6 @@ from rtcodec.model import (
 from rtcodec.params import CodeParams
 from rtcodec.periodicity import cap_periods, max_periodic_run
 from rtcodec.delsync import (
-    align_and_recover_clean_bits,
     build_report,
     count_deletions_in_interval,
     identify_intervals,
@@ -56,7 +55,7 @@ def test_tail_deletions_only():
     D = apply_deletions(c, pat, PARAMS.geometry)
     report = build_report(D, PARAMS)
     check_deletion_report(c.bits, pat, PARAMS, D, report)
-    assert report.counts[-1] == 2 and sum(report.counts) == 2
+    assert -report.shifts[-1] == 2 and -sum(report.shifts) == 2
 
 
 def test_interval_count_zero_when_clean():
@@ -87,7 +86,7 @@ def test_monte_carlo_ground_truth(seed):
         D = apply_deletions(c, pat, PARAMS.geometry)
         report = build_report(D, PARAMS)
         check_deletion_report(c.bits, pat, PARAMS, D, report)
-        est = align_and_recover_clean_bits(D, report, len(c))
+        est = report.outside_bits(D.rows[0], len(c))
         src = report.source_intervals
         for p in range(1, len(c) + 1):
             if any(s <= p <= e for s, e in src):

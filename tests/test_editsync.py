@@ -5,15 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from rtcodec.bits import as_bits
+from rtcodec.bits import UNKNOWN, as_bits
 from rtcodec.editsync import (
-    UNKNOWN,
     build_edit_report,
     edit_margin,
     head_reduction_recover,
     identify_edit_intervals,
     net_shift_of_interval,
-    recover_outside_bits,
 )
 from rtcodec.errors import ReductionStuck
 from rtcodec.model import (
@@ -120,7 +118,7 @@ def test_recover_outside_bits_error_free():
     c = make_capped_track(rng, PARAMS.n, PARAMS.k)
     E = apply_edits(c, EditPattern((), (), ((), (), ())), PARAMS.geometry)
     report = build_edit_report(E, PARAMS, total_shift=0)
-    est = recover_outside_bits(E, report, len(c))
+    est = report.outside_bits(E.rows[0], len(c))
     known = est != UNKNOWN
     assert known.sum() >= len(c) - (2 * edit_margin(PARAMS) + 2)
     assert np.array_equal(est[known], c.bits[known])
@@ -139,10 +137,10 @@ def test_recover_outside_bits_matches_truth_with_shifts():
         clusters = edit_clusters(pat.delta1, pat.gamma1, PARAMS.d, PARAMS.geometry.distances[0])
         assign = cluster_interval_assignment(clusters, report.intervals, pat.delta1, pat.gamma1)
         # net shifts per interval match the clusters that live inside it
-        for j in range(report.J):
+        for j in range(len(report.intervals)):
             truth = sum(clusters[ci]["net"] for ci in assign[j])
             assert report.shifts[j] == truth
-        est = recover_outside_bits(E, report, len(c))
+        est = report.outside_bits(E.rows[0], len(c))
         known = est != UNKNOWN
         assert np.array_equal(est[known], c.bits[known])
 
@@ -167,7 +165,7 @@ def test_head_reduction_repairs_intervals():
         for j, ((b1, b2), s_j) in enumerate(zip(report.intervals, report.shifts)):
             segs = [E.rows[w][b1 - 1 : b2] for w in range(PARAMS.d)]
             e_j, d_star = head_reduction_recover(segs, PARAMS)
-            src = report.source_start(j)
+            src = report.source_intervals[j][0]
             truth = c.bits[src - 1 : src - 1 + len(e_j)]
             assert np.array_equal(e_j, truth)
             if s_j != 0 or d_star < PARAMS.d:
@@ -211,7 +209,7 @@ def test_head_reduction_overload_flagged_or_counts_consistent():
         except ReductionStuck:
             flagged += 1
             continue
-        src = report.source_start(j)
+        src = report.source_intervals[j][0]
         truth = c.bits[src - 1 : src - 1 + len(e_j)]
         if np.array_equal(e_j, truth):
             # errors (2) >= d - d*

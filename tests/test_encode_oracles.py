@@ -1,11 +1,26 @@
 """Byte-identity of the vectorised encode path (and the vectorised
 agreement-run scan of the decoders) against the per-position reference
-implementations in ``helpers``, on a seeded corpus."""
+implementations in ``helpers``, on a seeded corpus; and of the shared
+read-synchronization report and shift probe against the separate deletion
+and edit versions they replaced."""
+
+import random
 
 import numpy as np
 import pytest
 
-from rtcodec.bits import agreement_run_starts, bits_from_int, format_track, parse_track
+from rtcodec.bits import (
+    IntervalReport,
+    agreement_run_starts,
+    bits_from_int,
+    format_track,
+    parse_track,
+    probe_shift,
+)
+from rtcodec.delcodec import encode_deletions
+from rtcodec.delsync import build_report
+from rtcodec.editcodec import encode_edits
+from rtcodec.editsync import build_edit_report
 from rtcodec.files import read_matrix, write_matrix
 from rtcodec.layout import (
     Layout,
@@ -16,16 +31,34 @@ from rtcodec.layout import (
     parity_groups_rs,
     unpack_group,
 )
-from rtcodec.model import ReadMatrix
+from rtcodec.model import (
+    BitTrack,
+    DeletionPattern,
+    EditPattern,
+    ReadMatrix,
+    apply_deletions,
+    apply_edits,
+    sample_deletion_pattern,
+    sample_edit_pattern,
+)
+from rtcodec.params import CodeParams
 from rtcodec.periodicity import cap_periods
 
 from helpers import (
+    ReferenceDeletionReport,
+    ReferenceEditReport,
     reference_agreement_run_starts,
+    reference_align_and_recover_clean_bits,
     reference_cap_periods,
+    reference_change_points,
+    reference_count_probe,
     reference_format_track,
     reference_oddeven_parity,
     reference_parity_groups_rs,
     reference_parse_track,
+    reference_probe_shift,
+    reference_recover_outside_bits,
+    reference_source_end,
 )
 
 
@@ -181,3 +214,108 @@ def test_agreement_run_starts_matches_reference():
         got, want = agreement_run_starts(equal), reference_agreement_run_starts(equal)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want), f"n={len(equal)}"
+
+
+def assert_report_matches_references(report: IntervalReport, rows, change_points, source_len: int) -> None:
+    """Source spans and the outside-bit fill against both old reports.
+
+    The deletion fill is compared only where it ran: on reports whose shifts
+    are all <= 0 (deletion counts >= 0).
+    """
+    reads = ReadMatrix(rows)
+    intervals, shifts = report.intervals, report.shifts
+    old_edit = ReferenceEditReport(intervals, shifts, change_points)
+    old_del = ReferenceDeletionReport(intervals, tuple(-x for x in shifts))
+    src = report.source_intervals
+    assert src == old_del.source_intervals
+    for j, ((b1, b2), s_j) in enumerate(zip(intervals, shifts)):
+        start = old_edit.source_start(j)
+        assert src[j] == (start, reference_source_end(start, b1, b2, s_j))
+    got = report.outside_bits(reads.rows[0], source_len)
+    assert np.array_equal(got, reference_recover_outside_bits(reads, old_edit, source_len)), (intervals, shifts)
+    if all(x <= 0 for x in shifts):
+        want = reference_align_and_recover_clean_bits(reads, old_del, source_len)
+        assert np.array_equal(got, want), (intervals, shifts)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sync_reports_match_old_reports_on_real_reads(k):
+    """Errors anywhere in the codeword, and errors only in the capped track
+    (where the intervals are counted by probes, not by the remainder)."""
+    rng = random.Random(20230 + k)
+    for mode in ("del", "edit"):
+        params = CodeParams.deletion(2048, k, 2) if mode == "del" else CodeParams.edit(2048, k, 2)
+        g = params.geometry
+        for trial in range(6):
+            msg = BitTrack([rng.randrange(2) for _ in range(params.n)])
+            in_track = trial % 2 == 1
+            if mode == "del":
+                cw = BitTrack(encode_deletions(msg, params))
+                if in_track:
+                    pattern = DeletionPattern(tuple(rng.sample(range(1, params.n + 1), k)))
+                else:
+                    pattern = sample_deletion_pattern(rng, len(cw), k, g)
+                reads = apply_deletions(cw, pattern, g)
+                report = build_report(reads, params, total_shift=reads.cols - len(cw))
+            else:
+                cw = BitTrack(encode_edits(msg, params))
+                if in_track:
+                    r = rng.randrange((k + 1) // 2)  # fewer deletions than insertions: a positive shift
+                    gamma1 = tuple(rng.sample(range(params.n + 1), k - r))
+                    bits = tuple(tuple(rng.randrange(2) for _ in gamma1) for _ in range(params.d))
+                    pattern = EditPattern(tuple(rng.sample(range(1, params.n + 1), r)), gamma1, bits)
+                else:
+                    pattern = sample_edit_pattern(rng, len(cw), k, params.d, g)
+                reads = apply_edits(cw, pattern, g)
+                report = build_edit_report(reads, params, total_shift=reads.cols - len(cw))
+            change_points = reference_change_points(reads.rows, report.intervals)
+            for source_len in (params.n + params.k + 1, len(cw)):
+                assert_report_matches_references(report, reads.rows, change_points, source_len)
+
+
+def test_sync_reports_match_old_reports_on_synthetic_reports():
+    """Shifts of both signs; large positive ones make gaps map to overlapping
+    source ranges or below position 1. Any change point inside its interval
+    gives the old edit fill the same result."""
+    rng = np.random.default_rng(20233)
+    for _ in range(3000):
+        cols = int(rng.integers(2, 300))
+        rows = rng.integers(0, 2, (2, cols), dtype=np.uint8)
+        J = int(rng.integers(1, min(6, cols // 2) + 1))
+        cuts = np.sort(rng.choice(np.arange(1, cols + 1), 2 * J, replace=False))
+        intervals = tuple((int(cuts[2 * j]), int(cuts[2 * j + 1])) for j in range(J))
+        bound = int(rng.choice([2, 4, 30]))
+        shifts = [int(x) for x in rng.integers(-bound, bound + 1, J)]
+        if rng.random() < 0.4:
+            shifts = [-abs(x) for x in shifts]
+        change_points = tuple(int(rng.integers(s, e + 1)) for s, e in intervals)
+        source_len = max(0, cols - sum(shifts) + int(rng.integers(-10, 11)))
+        report = IntervalReport(intervals, tuple(shifts))
+        assert_report_matches_references(report, rows, change_points, source_len)
+
+
+def test_probe_shift_matches_old_probes():
+    """Random windows, guard-hitting ones included (a < 1, b > len, length <= k).
+
+    The deletion probe had no guard: the count loop only forms windows inside
+    the row and longer than k, so only those are compared with it.
+    """
+    rng = np.random.default_rng(20234)
+    for _ in range(4000):
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 60))
+        # low-entropy rows so that several shifts often match
+        rowA = np.resize(rng.integers(0, 2, int(rng.integers(1, 5)), dtype=np.uint8), n)
+        if rng.random() < 0.3:
+            rowA = rng.integers(0, 2, n, dtype=np.uint8)
+        x = int(rng.integers(-k, k + 1))
+        rowB = np.roll(rowA, x)
+        flips = rng.integers(0, n, int(rng.integers(0, 3)))
+        rowB[flips] ^= 1
+        a = int(rng.integers(-1, n + 1))
+        b = int(rng.integers(a - 1, n + 2))
+        got = probe_shift(rowA, rowB, a, b, range(-k, k + 1))
+        assert got == reference_probe_shift(rowA, rowB, a, b, k), (k, a, b)
+        if a >= 1 and b <= n and b - a + 1 > k:
+            x_val, matches = reference_count_probe(rowA, rowB, a, b, k)
+            assert probe_shift(rowA, rowB, a, b, range(k + 1)) == (x_val if matches == 1 else None)
