@@ -16,7 +16,7 @@ the d reads. Blocks under the other intervals are restored from their hashes.
 from __future__ import annotations
 
 from .bits import BitArray
-from .delsync import build_report, recover_interval_multihead
+from .delsync import align_and_recover_clean_bits, build_report, recover_interval_multihead
 from .errors import DecodeFailure, RtCodecError
 from .layered import blocks_touched, bootstrap, encode_layered, finish, restore_blocks
 from .layout import build_layout
@@ -50,7 +50,7 @@ def decode_deletions(D: ReadMatrix, params: CodeParams, trace: Trace | None = No
             report = build_report(D, params, total_shift=boot.sigma, trace=trace)
         except RtCodecError as e:
             raise DecodeFailure("sync", str(e)) from e
-        est = report.outside_bits(boot.row1, layout.f_len)
+        est = align_and_recover_clean_bits(D, report, layout.f_len)
 
     heavy: set[int] = set()
     with trace.stage("intervals"):

@@ -105,6 +105,11 @@ def build_report(
     return IntervalReport(tuple(intervals), tuple(shifts))
 
 
+def align_and_recover_clean_bits(D: ReadMatrix, report: IntervalReport, source_len: int) -> BitArray:
+    """The deletion decoder's outside-bit step (``IntervalReport.outside_bits`` on row 1)."""
+    return report.outside_bits(D.rows[0], source_len)
+
+
 def recover_interval_multihead(
     segments: list[BitArray],
     count: int,

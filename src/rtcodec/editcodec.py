@@ -30,7 +30,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .bits import BitArray
-from .editsync import build_edit_report, head_reduction_recover
+from .editsync import build_edit_report, head_reduction_recover, recover_outside_bits
 from .errors import DecodeFailure, ReductionStuck, RtCodecError
 from .layered import Bootstrap, blocks_touched, bootstrap, encode_layered, finish, restore_blocks
 from .layout import build_layout
@@ -88,7 +88,7 @@ def decode_edits(E: ReadMatrix, params: CodeParams, trace: Trace | None = None) 
             report = build_edit_report(E, params, total_shift=boot.sigma)
         except RtCodecError as e:
             raise DecodeFailure("sync", str(e)) from e
-        est0 = report.outside_bits(boot.row1, f_len)
+        est0 = recover_outside_bits(E, report, f_len)
 
     outcomes: list[IntervalOutcome] = []
     with trace.stage("intervals"):

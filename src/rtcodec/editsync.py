@@ -43,8 +43,6 @@ def net_shift_of_interval(E: ReadMatrix, interval: tuple[int, int], params: Code
     """
     b1, b2 = interval
     row1, row2 = E.rows[0], E.rows[1]
-    if np.array_equal(row1[b1 - 1 : b2], row2[b1 - 1 : b2]) and E.rows.shape[0] == 2:
-        return 0
     if column_agreement(E.rows)[b1 - 1 : b2].all():
         return 0
     k, T = params.k, params.T
@@ -54,8 +52,7 @@ def net_shift_of_interval(E: ReadMatrix, interval: tuple[int, int], params: Code
     sentinel = k + 1
     for m in range(1, 4 * k + 2):
         total = 0
-        i = 1
-        while True:
+        for i in range(1, (b2 - b1 + 1) // t + 3):
             q_im = b1 + (i - 1) * t + (m - 1) * stride
             if q_im - 1 > b2:
                 break
@@ -64,9 +61,6 @@ def net_shift_of_interval(E: ReadMatrix, interval: tuple[int, int], params: Code
             if b <= len(row1):
                 x = probe_shift(row1, row2, a, b, range(-k, k + 1))
                 total += x if x is not None else sentinel
-            i += 1
-            if i > (b2 - b1 + 1) // t + 2:
-                break
         sums[m] = total
     return -majority(sums.values(), "net-shift")
 
@@ -97,6 +91,11 @@ def build_edit_report(E: ReadMatrix, params: CodeParams, total_shift: int | None
                 # interval, which never feeds positions inside the prefix
                 shifts.append(0)
     return IntervalReport(tuple(intervals), tuple(shifts))
+
+
+def recover_outside_bits(E: ReadMatrix, report: IntervalReport, source_len: int) -> BitArray:
+    """The edit decoder's outside-bit step (``IntervalReport.outside_bits`` on row 1)."""
+    return report.outside_bits(E.rows[0], source_len)
 
 
 def head_reduction_recover(

@@ -30,6 +30,10 @@ class TooManyErasures(RtCodecError):
     for pair parity more than one block or two adjacent ones."""
 
 
+class ParityMismatch(RtCodecError):
+    """Block hashes and parity disagree beyond what the parity corrects."""
+
+
 class MalformedRepetition(RtCodecError):
     """No within-budget parse of a repetition-coded word exists."""
 

@@ -157,8 +157,6 @@ def restore_blocks(
         else:
             max_subs = min(max_subs, (layout.parity_groups - len(erased)) // 2)
             restored, substituted = restore_rs(block_groups, parity, layout, max_errors=max_subs)
-    except DecodeFailure:
-        raise
     except RtCodecError as e:
         raise DecodeFailure("erasure", str(e)) from e
     out = est.copy()

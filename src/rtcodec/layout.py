@@ -16,7 +16,7 @@ import numpy as np
 
 from .bits import BitArray, as_bits, bits_from_int
 from .algebra import rs_decode_errors_erasures, rs_parity_lanes
-from .errors import DecodeFailure, ParamViolation, TooManyErasures
+from .errors import ParamViolation, ParityMismatch, TooManyErasures
 from .gf import GF
 from .hashing import block_bounds
 from .params import CodeParams
@@ -170,7 +170,7 @@ def restore_pair(
     lanes = _lanes([zero if grp is None else grp for grp in block_groups], layout)
     residue = np.array(parity, dtype=np.int64).reshape(2, layout.group_symbols) ^ _pair_parity(lanes)
     if not erased and residue.any():
-        raise DecodeFailure("erasure", "pair parity mismatch with no erasures")
+        raise ParityMismatch("pair parity mismatch with no erasures")
     for i in erased:
         lanes[i] = residue[i % 2]
     return lanes.tolist()
@@ -190,8 +190,8 @@ def restore_rs(
     """Erasure (+ optionally error) decode lane by lane.
 
     Returns (restored block groups, sorted block indices where a substitution
-    was corrected). Raises DecodeFailure if any lane fails or the corrected
-    block count exceeds ``max_errors``.
+    was corrected). Raises DecodeFailure if any lane fails and ParityMismatch
+    if the corrected block count exceeds ``max_errors``.
     """
     r = layout.parity_groups
     erased = [i for i, grp in enumerate(block_groups) if grp is None]
@@ -206,5 +206,5 @@ def restore_rs(
                 grp[lane] = fixed[i]
     corrected.difference_update(erased)
     if len(corrected) > max_errors:
-        raise DecodeFailure("erasure", f"{len(corrected)} substituted blocks exceed budget {max_errors}")
+        raise ParityMismatch(f"{len(corrected)} substituted blocks exceed budget {max_errors}")
     return out, sorted(corrected)

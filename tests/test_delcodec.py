@@ -180,6 +180,37 @@ def test_restore_failure_names_its_stage_once():
     assert str(err.value) == "erasure: pair parity mismatch with no erasures"
 
 
+@pytest.mark.parametrize(
+    "bad_parity,max_subs,message",
+    [
+        (0, 0, "erasure: 1 substituted blocks exceed budget 0"),
+        (3, 2, "erasure: rs: errata beyond guarantee radius"),
+    ],
+    ids=["budget", "radius"],
+)
+def test_rs_restore_failure_is_an_erasure_failure(bad_parity, max_subs, message):
+    """RS restore failures report stage ``erasure``: a corrected block beyond
+    the substitution budget, and errata beyond the RS radius (the decoder's own
+    ``rs`` failure, wrapped once)."""
+    params = CodeParams.deletion(512, 4, 2)
+    assert params.regime == "rs"
+    rng = random.Random(8)
+    msg = BitTrack([rng.randrange(2) for _ in range(512)])
+    cw = BitTrack(encode_deletions(msg, params))
+    boot = bootstrap(apply_deletions(cw, DeletionPattern(()), params.geometry), params, "deletion")
+    est = cw.bits[: boot.layout.f_len].copy()
+    parity = [list(grp) for grp in boot.parity]
+    if bad_parity:
+        for grp in parity[:bad_parity]:
+            grp[0] ^= 1
+    else:
+        est[0] ^= 1
+    with pytest.raises(DecodeFailure) as err:
+        restore_blocks(est, [], parity, boot.layout, params, boot.row1, boot.sigma, max_subs)
+    assert err.value.stage == "erasure"
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("k,n,probed", [(3, 512, 0), (4, 512, 0), (2, 4096, 1)], ids=["pair", "rs", "pair-n4096"])
 def test_trace_stages_and_events(k, n, probed):
     params = CodeParams.deletion(n, k, 2)
