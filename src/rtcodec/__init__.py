@@ -10,7 +10,6 @@ from .model import (
     ReadMatrix,
     apply_deletions,
     apply_edits,
-    sample_deletion_pattern,
     sample_edit_pattern,
 )
 from .params import CodeParams

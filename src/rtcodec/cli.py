@@ -32,7 +32,6 @@ from .model import (
     EditPattern,
     apply_deletions,
     apply_edits,
-    sample_deletion_pattern,
     sample_edit_pattern,
 )
 from .params import CodeParams
@@ -130,14 +129,12 @@ def cmd_corrupt(args) -> int:
         else:
             rng = random.Random(args.seed)
             if params.kind == "deletion":
-                pattern = sample_deletion_pattern(rng, len(track), params.k, params.geometry)
-                matrix = apply_deletions(track, pattern, params.geometry)
+                pattern = sample_edit_pattern(rng, len(track), params.k, params.geometry, r=params.k, s=0)
+                matrix = apply_deletions(track, DeletionPattern(pattern.delta1), params.geometry)
             else:
-                pattern = sample_edit_pattern(
-                    rng, len(track), params.k, params.d, params.geometry, r=args.r, s=args.s
-                )
+                pattern = sample_edit_pattern(rng, len(track), params.k, params.geometry, r=args.r, s=args.s)
                 matrix = apply_edits(track, pattern, params.geometry)
-    except RtCodecError as e:
+    except (RtCodecError, ValueError) as e:  # ValueError: a malformed position or bit list
         raise CliError(EXIT_CONFIG, str(e)) from e
     files.write_matrix(args.out, matrix)
     print(f"wrote {matrix.d}x{matrix.cols} read matrix to {args.out}")

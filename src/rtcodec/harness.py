@@ -22,10 +22,10 @@ from .hashing import ColoringHasher, VtHasher, make_hasher
 from .layout import build_layout
 from .model import (
     BitTrack,
+    DeletionPattern,
     apply_deletions,
     apply_edits,
     enumerate_deletion_ball,
-    sample_deletion_pattern,
     sample_edit_pattern,
 )
 from .params import CodeParams
@@ -98,12 +98,12 @@ def run_one_trial(params: CodeParams, mode: str, seed: int, index: int) -> dict:
     try:
         if mode == "del":
             cw = BitTrack(encode_deletions(msg, params))
-            pattern = sample_deletion_pattern(rng, len(cw), params.k, params.geometry)
-            matrix = apply_deletions(cw, pattern, params.geometry)
+            pattern = sample_edit_pattern(rng, len(cw), params.k, params.geometry, r=params.k, s=0)
+            matrix = apply_deletions(cw, DeletionPattern(pattern.delta1), params.geometry)
             out = decode_deletions(matrix, params)
         else:
             cw = BitTrack(encode_edits(msg, params))
-            pattern = sample_edit_pattern(rng, len(cw), params.k, params.d, params.geometry)
+            pattern = sample_edit_pattern(rng, len(cw), params.k, params.geometry)
             matrix = apply_edits(cw, pattern, params.geometry)
             out = decode_edits(matrix, params)
     except DecodeFailure as e:

@@ -5,7 +5,7 @@ per-block hashes: odd/even pair parity for d <= k <= 2d-1, Reed-Solomon for
 k >= 2d), then R2 (the (k+1)-fold repetition of a hash of R1). Both codecs
 decode it the same way around their own read synchronization:
 
-1. ``bootstrap``: check the parameters and the read length, recover R1 from
+1. ``bootstrap``: check the parameters and the read shape, recover R1 from
    the repetition-coded R2 hash, and split it into parity groups;
 2. the codec fills in what synchronization recovers and names the blocks it
    could not trust;
@@ -94,8 +94,10 @@ class Bootstrap:
 
 
 def bootstrap(reads: ReadMatrix, params: CodeParams, kind: str) -> Bootstrap:
-    """Check the parameters and read length, then recover R1 from the R2 hash."""
+    """Check the parameters, row count and read length, then recover R1 from the R2 hash."""
     check_params(params, kind)
+    if reads.d != params.d:
+        raise DecodeFailure("input", f"{reads.d} read rows for a {params.d}-head code")
     layout = build_layout(params)
     row1 = reads.rows[0]
     sigma = len(row1) - layout.total

@@ -32,10 +32,6 @@ class BitTrack:
         object.__setattr__(self, "bits", as_bits(self.bits))
         self.bits.setflags(write=False)
 
-    @property
-    def length(self) -> int:
-        return len(self.bits)
-
     def __len__(self) -> int:
         return len(self.bits)
 
@@ -85,6 +81,11 @@ class HeadGeometry:
         return cls(tuple([t] * (d - 1)))
 
 
+def _on_track(positions: tuple[int, ...], first: int, n: int, geometry: HeadGeometry) -> bool:
+    """Every head's copy of the sorted head-1 ``positions`` lies in [first, n]."""
+    return not positions or (positions[0] >= first and positions[-1] + geometry.span <= n)
+
+
 @dataclass(frozen=True)
 class DeletionPattern:
     """Deletion positions in head 1; other heads are shifted copies."""
@@ -97,18 +98,8 @@ class DeletionPattern:
             raise ValueError("duplicate deletion positions")
         object.__setattr__(self, "delta1", pos)
 
-    @property
-    def k(self) -> int:
-        return len(self.delta1)
-
-    def head_positions(self, head: int, geometry: HeadGeometry) -> tuple[int, ...]:
-        off = geometry.offsets[head - 1]
-        return tuple(p + off for p in self.delta1)
-
     def admissible(self, n: int, geometry: HeadGeometry) -> bool:
-        if not self.delta1:
-            return True
-        return self.delta1[0] >= 1 and self.delta1[-1] + geometry.span <= n
+        return _on_track(self.delta1, 1, n, geometry)
 
 
 @dataclass(frozen=True)
@@ -131,26 +122,18 @@ class EditPattern:
         bits = tuple(tuple(int(b) for b in row) for row in self.inserted_bits)
         if any(len(row) != len(ins) for row in bits):
             raise ValueError("each head needs one inserted bit per insertion position")
+        if any(b not in (0, 1) for row in bits for b in row):
+            raise ValueError("inserted bits must be 0 or 1")
         object.__setattr__(self, "delta1", dels)
         object.__setattr__(self, "gamma1", ins)
         object.__setattr__(self, "inserted_bits", bits)
 
-    @property
-    def r(self) -> int:
-        return len(self.delta1)
-
-    @property
-    def s(self) -> int:
-        return len(self.gamma1)
-
     def admissible(self, n: int, geometry: HeadGeometry) -> bool:
-        if len(self.inserted_bits) != geometry.d and self.s > 0:
-            return False
-        if self.delta1 and not (self.delta1[0] >= 1 and self.delta1[-1] + geometry.span <= n):
-            return False
-        if self.gamma1 and not (self.gamma1[0] >= 0 and self.gamma1[-1] + geometry.span <= n):
-            return False
-        return True
+        return (
+            (not self.gamma1 or len(self.inserted_bits) == geometry.d)
+            and _on_track(self.delta1, 1, n, geometry)
+            and _on_track(self.gamma1, 0, n, geometry)
+        )
 
 
 @dataclass(frozen=True)
@@ -175,10 +158,6 @@ class ReadMatrix:
     def cols(self) -> int:
         return self.rows.shape[1]
 
-    def row(self, head: int) -> BitArray:
-        """1-based head index."""
-        return self.rows[head - 1]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ReadMatrix)
@@ -191,18 +170,28 @@ class ReadMatrix:
         return hash((self.kind, self.rows.shape, self.rows.tobytes()))
 
 
+def _read_rows(track: BitTrack, geometry: HeadGeometry, delta1, gamma1=(), inserted_bits=()) -> np.ndarray:
+    """Each head drops its copy of ``delta1``, then puts bit j of its
+    ``inserted_bits`` row after its copy of track position ``gamma1[j]``."""
+    dels = np.array(delta1, dtype=np.int64)
+    ins = np.array(gamma1, dtype=np.int64)
+    # kept bits at or before track position g: g minus the deletions <= g, in every head
+    at = ins - np.searchsorted(dels, ins, side="right")
+    rows = []
+    for head, off in enumerate(geometry.offsets):
+        row = np.delete(track.bits, dels + (off - 1))
+        if len(ins):
+            row = np.insert(row, at + off, inserted_bits[head])
+        rows.append(row)
+    return np.stack(rows)
+
+
 def apply_deletions(track: BitTrack, pattern: DeletionPattern, geometry: HeadGeometry) -> ReadMatrix:
     """Read matrix after correlated deletions (row i = track minus delta1 + offset_i)."""
     n = len(track)
     if not pattern.admissible(n, geometry):
         raise InadmissiblePattern(f"deletions {pattern.delta1} with span {geometry.span} leave [1,{n}]")
-    rows = []
-    for head in range(1, geometry.d + 1):
-        keep = np.ones(n, dtype=bool)
-        for p in pattern.head_positions(head, geometry):
-            keep[p - 1] = False
-        rows.append(track.bits[keep])
-    return ReadMatrix(np.stack(rows), kind="deletion")
+    return ReadMatrix(_read_rows(track, geometry, pattern.delta1), kind="deletion")
 
 
 def apply_edits(track: BitTrack, pattern: EditPattern, geometry: HeadGeometry) -> ReadMatrix:
@@ -213,22 +202,9 @@ def apply_edits(track: BitTrack, pattern: EditPattern, geometry: HeadGeometry) -
     """
     n = len(track)
     if not pattern.admissible(n, geometry):
-        raise InadmissiblePattern(f"edit pattern leaves [0,{n}] in some head")
-    rows = []
-    for head in range(1, geometry.d + 1):
-        off = geometry.offsets[head - 1]
-        dels = {p + off for p in pattern.delta1}
-        ins_after = {p + off: int(pattern.inserted_bits[head - 1][j]) for j, p in enumerate(pattern.gamma1)}
-        out = []
-        if 0 in ins_after:
-            out.append(ins_after[0])
-        for pos in range(1, n + 1):
-            if pos not in dels:
-                out.append(int(track.bits[pos - 1]))
-            if pos in ins_after:
-                out.append(ins_after[pos])
-        rows.append(np.array(out, dtype=np.uint8))
-    return ReadMatrix(np.stack(rows), kind="edit")
+        raise InadmissiblePattern(f"edit pattern leaves [0,{n}] in some head or lacks one bit row per head")
+    rows = _read_rows(track, geometry, pattern.delta1, pattern.gamma1, pattern.inserted_bits)
+    return ReadMatrix(rows, kind="edit")
 
 
 def admissible_deletion_positions(n: int, geometry: HeadGeometry) -> range:
@@ -256,25 +232,22 @@ def enumerate_deletion_ball(
     return out
 
 
-def sample_deletion_pattern(rng, n: int, k: int, geometry: HeadGeometry) -> DeletionPattern:
-    positions = admissible_deletion_positions(n, geometry)
-    if len(positions) < k:
-        raise InadmissiblePattern(f"track too short for {k} admissible deletions")
-    return DeletionPattern(tuple(rng.sample(list(positions), k)))
-
-
 def sample_edit_pattern(
-    rng, n: int, k: int, d: int, geometry: HeadGeometry, r: int | None = None, s: int | None = None
+    rng, n: int, k: int, geometry: HeadGeometry, r: int | None = None, s: int | None = None
 ) -> EditPattern:
-    """Random admissible pattern; (r, s) uniform over r + s <= k unless given."""
+    """Random admissible pattern; (r, s) uniform over r + s <= k unless given.
+
+    With s = 0 nothing is drawn past the deletions, so ``r=k, s=0`` is the
+    k-deletion sampler.
+    """
     if r is None or s is None:
         pairs = [(a, b) for a in range(k + 1) for b in range(k + 1) if a + b <= k]
         r, s = rng.choice(pairs)
-    del_positions = list(admissible_deletion_positions(n, geometry))
-    ins_positions = list(range(0, n - geometry.span + 1))
+    del_positions = admissible_deletion_positions(n, geometry)
+    ins_positions = range(0, n - geometry.span + 1)
     if len(del_positions) < r or len(ins_positions) < s:
         raise InadmissiblePattern("track too short for requested edit load")
     delta1 = tuple(rng.sample(del_positions, r))
     gamma1 = tuple(rng.sample(ins_positions, s))
-    bits = tuple(tuple(rng.randrange(2) for _ in range(s)) for _ in range(d))
+    bits = tuple(tuple(rng.randrange(2) for _ in range(s)) for _ in range(geometry.d))
     return EditPattern(delta1, gamma1, bits)

@@ -33,10 +33,6 @@ class Trace:
     def event(self, kind: str, **fields) -> None:
         self.events.append((kind, fields))
 
-    def of_kind(self, kind: str) -> list[dict]:
-        """The fields of every ``kind`` event, in recording order."""
-        return [fields for k, fields in self.events if k == kind]
-
     def to_dict(self) -> dict:
         """JSON-ready form; bit arrays in event fields become their lengths."""
         return {

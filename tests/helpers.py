@@ -50,6 +50,29 @@ def oracle_edit_matrix(c: str, delta1, gamma1, bits_rows, offsets) -> list[str]:
     return rows
 
 
+def sample_deletions(rng, n: int, k: int, geometry):
+    """A random admissible k-deletion pattern from the package's one sampler."""
+    from rtcodec.model import DeletionPattern, sample_edit_pattern
+
+    return DeletionPattern(sample_edit_pattern(rng, n, k, geometry, r=k, s=0).delta1)
+
+
+def reference_sample_deletion_pattern(rng, n: int, k: int, geometry):
+    """The k-deletion sampler before the edit sampler served both modes (verbatim)."""
+    from rtcodec.errors import InadmissiblePattern
+    from rtcodec.model import DeletionPattern, admissible_deletion_positions
+
+    positions = admissible_deletion_positions(n, geometry)
+    if len(positions) < k:
+        raise InadmissiblePattern(f"track too short for {k} admissible deletions")
+    return DeletionPattern(tuple(rng.sample(list(positions), k)))
+
+
+def of_kind(trace, kind: str) -> list[dict]:
+    """The fields of every ``kind`` event of ``trace``, in recording order."""
+    return [fields for k, fields in trace.events if k == kind]
+
+
 def oracle_longest_periodic_run(c: str, period: int) -> int:
     """Naive quadratic window scan."""
     n = len(c)
@@ -108,7 +131,7 @@ def check_deletion_report(track_bits, pattern, params, matrix, report) -> None:
     N = len(track_bits)
     c = bits_str(track_bits)
     delta1 = pattern.delta1
-    per_head = [set(pattern.head_positions(w, g)) for w in range(1, g.d + 1)]
+    per_head = [{p + off for p in delta1} for off in g.offsets]
     src = report.source_intervals
 
     J = len(report.intervals)

@@ -23,7 +23,6 @@ from rtcodec.model import (
     apply_deletions,
     apply_edits,
     enumerate_deletion_ball,
-    sample_deletion_pattern,
     sample_edit_pattern,
 )
 from rtcodec.params import CodeParams
@@ -36,9 +35,11 @@ from helpers import (
     edit_ball,
     edit_clusters,
     erase,
+    of_kind,
     pair_parity,
     pair_restore,
     rs_codeword,
+    sample_deletions,
 )
 
 
@@ -158,7 +159,7 @@ def test_criterion_4_synchronization():
     for trial in range(trials):
         msg = np.array([rng.randrange(2) for _ in range(params.n)], dtype=np.uint8)
         c = BitTrack(cap_periods(msg, params.k))
-        pattern = sample_deletion_pattern(rng, len(c), params.k, params.geometry)
+        pattern = sample_deletions(rng, len(c), params.k, params.geometry)
         D = apply_deletions(c, pattern, params.geometry)
         report = build_report(D, params)
         check_deletion_report(c.bits, pattern, params, D, report)
@@ -172,7 +173,7 @@ def _deletion_campaign(params, trials, seed):
     for _ in range(trials):
         msg = BitTrack([rng.randrange(2) for _ in range(params.n)])
         cw = BitTrack(encode_deletions(msg, params))
-        pattern = sample_deletion_pattern(rng, len(cw), params.k, params.geometry)
+        pattern = sample_deletions(rng, len(cw), params.k, params.geometry)
         D = apply_deletions(cw, pattern, params.geometry)
         out = decode_deletions(D, params)
         assert np.array_equal(out, msg.bits)
@@ -228,14 +229,14 @@ def _edit_campaign(params, trials, seed, check_budget=True):
     for _ in range(trials):
         msg = BitTrack([rng.randrange(2) for _ in range(params.n)])
         cw = BitTrack(encode_edits(msg, params))
-        pattern = sample_edit_pattern(rng, len(cw), params.k, params.d, params.geometry)
+        pattern = sample_edit_pattern(rng, len(cw), params.k, params.geometry)
         E = apply_edits(cw, pattern, params.geometry)
         trace = Trace()
         out = decode_edits(E, params, trace)
         assert np.array_equal(out, msg.bits)
         if not check_budget:
             continue
-        outcomes = trace.of_kind("interval")
+        outcomes = of_kind(trace, "interval")
         clusters = edit_clusters(pattern.delta1, pattern.gamma1, params.d, t)
         intervals = [oc["read_span"] for oc in outcomes]
         assign = cluster_interval_assignment(clusters, intervals, pattern.delta1, pattern.gamma1)

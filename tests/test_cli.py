@@ -220,6 +220,30 @@ def test_corrupt_bad_sidecar_is_config_error(tmp_path, capsys, sidecar):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        ["--delta1", "a,3"],
+        ["--delta1", "3,3"],
+        ["--delta1", "3", "--gamma1", "5,b"],
+        ["--delta1", "3", "--gamma1", "5", "--ins-bits", "x,1"],
+        ["--delta1", "3", "--gamma1", "5", "--ins-bits", "2,1"],
+        ["--delta1", "3", "--gamma1", "5"],
+    ],
+)
+def test_corrupt_bad_pattern_is_config_error(tmp_path, capsys, pattern):
+    """A position or inserted-bit list that does not parse or does not fit the
+    heads exits 3 with one line."""
+    msg = tmp_path / "msg.track"
+    write_random_track(msg, 64, 5)
+    cw = tmp_path / "cw.track"
+    assert main(["encode", "--in", str(msg), "--out", str(cw), "--k", "2", "--d", "2"]) == 0
+    capsys.readouterr()
+    assert main(["corrupt", "--in", str(cw), "--out", str(tmp_path / "r.mat"), *pattern]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("mode,k,d", [("del", "2", "2"), ("edit", "4", "2")])
 def test_decode_report_carries_trace(tmp_path, mode, k, d):
     """The report holds the decode trace on success and on a failure at input."""

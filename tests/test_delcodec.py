@@ -14,10 +14,11 @@ from rtcodec.model import (
     DeletionPattern,
     apply_deletions,
     enumerate_deletion_ball,
-    sample_deletion_pattern,
 )
 from rtcodec.params import CodeParams
 from rtcodec.trace import Trace
+
+from helpers import of_kind, sample_deletions
 
 
 def roundtrip(params, msg, pattern):
@@ -72,7 +73,7 @@ def test_pair_random_roundtrip():
     for _ in range(25):
         msg = BitTrack([rng.randrange(2) for _ in range(512)])
         cw = BitTrack(encode_deletions(msg, params))
-        pat = sample_deletion_pattern(rng, len(cw), 3, params.geometry)
+        pat = sample_deletions(rng, len(cw), 3, params.geometry)
         assert np.array_equal(roundtrip(params, msg, pat), msg.bits)
 
 
@@ -82,7 +83,7 @@ def test_rs_random_roundtrip():
     for _ in range(25):
         msg = BitTrack([rng.randrange(2) for _ in range(512)])
         cw = BitTrack(encode_deletions(msg, params))
-        pat = sample_deletion_pattern(rng, len(cw), 4, params.geometry)
+        pat = sample_deletions(rng, len(cw), 4, params.geometry)
         assert np.array_equal(roundtrip(params, msg, pat), msg.bits)
 
 
@@ -92,7 +93,7 @@ def test_fewer_than_k_deletions_accepted():
     msg = BitTrack([rng.randrange(2) for _ in range(512)])
     for load in (0, 1, 2):
         cw = BitTrack(encode_deletions(msg, params))
-        pat = sample_deletion_pattern(rng, len(cw), load, params.geometry)
+        pat = sample_deletions(rng, len(cw), load, params.geometry)
         assert np.array_equal(roundtrip(params, msg, pat), msg.bits)
 
 
@@ -146,6 +147,11 @@ def test_truncated_matrix_rejected():
     bad = ReadMatrix(D.rows[:, :-10], kind="deletion")
     with pytest.raises(DecodeFailure):
         decode_deletions(bad, params)
+    # a row too few or too many for the d-head code fails at input, however plausible each row
+    for rows in (D.rows[:1], np.vstack([D.rows, D.rows[:1]])):
+        with pytest.raises(DecodeFailure) as err:
+            decode_deletions(ReadMatrix(rows, kind="deletion"), params)
+        assert err.value.stage == "input"
 
 
 def test_read_check_rejects_dropped_interval():
@@ -221,12 +227,12 @@ def test_trace_stages_and_events(k, n, probed):
     trace = Trace()
     assert np.array_equal(decode_deletions(D, params, trace), msg.bits)
     assert set(trace.stages) == {"bootstrap", "sync", "intervals", "restore", "finish"}
-    intervals = trace.of_kind("interval")
+    intervals = of_kind(trace, "interval")
     assert len(intervals) >= 1
     assert {iv["outcome"] for iv in intervals} <= {"recovered", "heavy", "redundancy"}
     assert sum(iv["count"] for iv in intervals) == k - 1
-    assert len(trace.of_kind("heavy")) == 1
+    assert len(of_kind(trace, "heavy")) == 1
     # the trailing interval is counted by subtraction, every other one by a probe vote
     spans = [iv["read_span"] for iv in intervals if iv["read_span"][1] != D.cols]
     assert len(spans) == probed
-    assert [vote["interval"] for vote in trace.of_kind("count_vote")] == spans
+    assert [vote["interval"] for vote in of_kind(trace, "count_vote")] == spans

@@ -12,7 +12,6 @@ from rtcodec.model import (
     DeletionPattern,
     HeadGeometry,
     apply_deletions,
-    sample_deletion_pattern,
 )
 from rtcodec.params import CodeParams
 from rtcodec.periodicity import cap_periods, max_periodic_run
@@ -24,7 +23,7 @@ from rtcodec.delsync import (
 )
 from rtcodec.trace import Trace
 
-from helpers import check_deletion_report
+from helpers import check_deletion_report, sample_deletions
 
 PARAMS = CodeParams.deletion(1024, 2, 2)
 
@@ -82,7 +81,7 @@ def test_monte_carlo_ground_truth(seed):
     rng = random.Random(100 + seed)
     for _ in range(40):
         c = make_capped_track(rng, PARAMS.n, PARAMS.k)
-        pat = sample_deletion_pattern(rng, len(c), PARAMS.k, PARAMS.geometry)
+        pat = sample_deletions(rng, len(c), PARAMS.k, PARAMS.geometry)
         D = apply_deletions(c, pat, PARAMS.geometry)
         report = build_report(D, PARAMS)
         check_deletion_report(c.bits, pat, PARAMS, D, report)

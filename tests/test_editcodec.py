@@ -13,7 +13,7 @@ from rtcodec.params import CodeParams
 from rtcodec.periodicity import cap_periods
 from rtcodec.trace import Trace
 
-from helpers import cluster_interval_assignment, edit_clusters
+from helpers import cluster_interval_assignment, edit_clusters, of_kind
 
 
 def roundtrip(params, msg, pattern, **kw):
@@ -57,7 +57,7 @@ def test_direct_random_roundtrip():
     for _ in range(15):
         msg = BitTrack([rng.randrange(2) for _ in range(8192)])
         cw = BitTrack(encode_edits(msg, params))
-        pat = sample_edit_pattern(rng, len(cw), 2, 3, params.geometry)
+        pat = sample_edit_pattern(rng, len(cw), 2, params.geometry)
         E = apply_edits(cw, pat, params.geometry)
         assert np.array_equal(decode_edits(E, params), msg.bits)
 
@@ -68,7 +68,7 @@ def test_pair_random_roundtrip():
     for _ in range(10):
         msg = BitTrack([rng.randrange(2) for _ in range(1024)])
         cw = BitTrack(encode_edits(msg, params))
-        pat = sample_edit_pattern(rng, len(cw), 4, 3, params.geometry)
+        pat = sample_edit_pattern(rng, len(cw), 4, params.geometry)
         E = apply_edits(cw, pat, params.geometry)
         assert np.array_equal(decode_edits(E, params), msg.bits)
 
@@ -79,7 +79,7 @@ def test_rs_random_roundtrip():
     for _ in range(10):
         msg = BitTrack([rng.randrange(2) for _ in range(1024)])
         cw = BitTrack(encode_edits(msg, params))
-        pat = sample_edit_pattern(rng, len(cw), 4, 2, params.geometry)
+        pat = sample_edit_pattern(rng, len(cw), 4, params.geometry)
         E = apply_edits(cw, pat, params.geometry)
         assert np.array_equal(decode_edits(E, params), msg.bits)
 
@@ -116,14 +116,14 @@ def test_budget_and_prop4_accounting():
     for _ in range(10):
         msg = BitTrack([rng.randrange(2) for _ in range(1024)])
         cw = BitTrack(encode_edits(msg, params))
-        pat = sample_edit_pattern(rng, len(cw), 4, 2, params.geometry)
+        pat = sample_edit_pattern(rng, len(cw), 4, params.geometry)
         E = apply_edits(cw, pat, params.geometry)
         trace = Trace()
         out = decode_edits(E, params, trace)
         assert np.array_equal(out, msg.bits)
-        accepted = [c for c in trace.of_kind("choice") if c["ok"]]
+        accepted = [c for c in of_kind(trace, "choice") if c["ok"]]
         assert accepted[0]["budget"] <= params.k
-        outcomes = trace.of_kind("interval")
+        outcomes = of_kind(trace, "interval")
         clusters = edit_clusters(pat.delta1, pat.gamma1, params.d, t)
         intervals = [oc["read_span"] for oc in outcomes]
         assign = cluster_interval_assignment(clusters, intervals, pat.delta1, pat.gamma1)
@@ -140,12 +140,12 @@ def test_adversarial_all_choices_agree():
     for _ in range(8):
         msg = BitTrack([rng.randrange(2) for _ in range(1024)])
         cw = BitTrack(encode_edits(msg, params))
-        pat = sample_edit_pattern(rng, len(cw), 4, 2, params.geometry)
+        pat = sample_edit_pattern(rng, len(cw), 4, params.geometry)
         E = apply_edits(cw, pat, params.geometry)
         trace = Trace()
         out = decode_edits(E, params, trace)
         assert np.array_equal(out, msg.bits)
-        assert len([c for c in trace.of_kind("choice") if c["ok"]]) >= 1
+        assert len([c for c in of_kind(trace, "choice") if c["ok"]]) >= 1
 
 
 def test_kind_gate():
@@ -163,6 +163,11 @@ def test_bad_length_rejected():
     bad = ReadMatrix(E.rows[:, :-20], kind="edit")
     with pytest.raises(DecodeFailure):
         decode_edits(bad, params)
+    # a row too few or too many for the d-head code fails at input, however plausible each row
+    for rows in (E.rows[:2], np.vstack([E.rows, E.rows[:1]])):
+        with pytest.raises(DecodeFailure) as err:
+            decode_edits(ReadMatrix(rows, kind="edit"), params)
+        assert err.value.stage == "input"
 
 
 @pytest.mark.parametrize("k,d,regime", [(2, 3, "direct"), (4, 3, "pair"), (4, 2, "rs")])
@@ -172,14 +177,14 @@ def test_trace_stages_and_events(k, d, regime):
     rng = random.Random(30 + k + d)
     msg = BitTrack([rng.randrange(2) for _ in range(1024)])
     cw = BitTrack(encode_edits(msg, params))
-    pat = sample_edit_pattern(rng, len(cw), k, d, params.geometry)
+    pat = sample_edit_pattern(rng, len(cw), k, params.geometry)
     E = apply_edits(cw, pat, params.geometry)
     trace = Trace()
     assert np.array_equal(decode_edits(E, params, trace), msg.bits)
     last = "finish" if regime == "direct" else "choices"
     assert set(trace.stages) == {"bootstrap", "sync", "intervals", last}
-    assert len(trace.of_kind("interval")) >= 1
-    choices = trace.of_kind("choice")
+    assert len(of_kind(trace, "interval")) >= 1
+    choices = of_kind(trace, "choice")
     if regime == "direct":
         assert choices == []
     else:

@@ -24,7 +24,7 @@ from rtcodec.params import CodeParams
 from rtcodec.periodicity import cap_periods
 from rtcodec.trace import Trace
 
-from helpers import cluster_interval_assignment, edit_clusters
+from helpers import cluster_interval_assignment, edit_clusters, of_kind
 
 PARAMS = CodeParams.edit(8192, 2, 3)
 
@@ -61,7 +61,7 @@ def test_rows_agree_outside_intervals_property():
     rng = random.Random(1)
     for _ in range(25):
         c = make_capped_track(rng, PARAMS.n, PARAMS.k)
-        pat = sample_edit_pattern(rng, len(c), PARAMS.k, PARAMS.d, PARAMS.geometry)
+        pat = sample_edit_pattern(rng, len(c), PARAMS.k, PARAMS.geometry)
         E = apply_edits(c, pat, PARAMS.geometry)
         intervals = identify_edit_intervals(E, PARAMS)
         outside = np.ones(E.cols, dtype=bool)
@@ -183,7 +183,7 @@ def test_head_reduction_row_count_decreases():
         segs = [E.rows[w][b1 - 1 : b2] for w in range(PARAMS.d)]
         trace = Trace()
         e_j, d_star = head_reduction_recover(segs, PARAMS, trace)
-        assert d_star == PARAMS.d - len(trace.of_kind("reduction_step"))
+        assert d_star == PARAMS.d - len(of_kind(trace, "reduction_step"))
         assert d_star >= 1
 
 

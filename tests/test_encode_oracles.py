@@ -38,7 +38,6 @@ from rtcodec.model import (
     ReadMatrix,
     apply_deletions,
     apply_edits,
-    sample_deletion_pattern,
     sample_edit_pattern,
 )
 from rtcodec.params import CodeParams
@@ -59,6 +58,7 @@ from helpers import (
     reference_probe_shift,
     reference_recover_outside_bits,
     reference_source_end,
+    sample_deletions,
 )
 
 
@@ -254,7 +254,7 @@ def test_sync_reports_match_old_reports_on_real_reads(k):
                 if in_track:
                     pattern = DeletionPattern(tuple(rng.sample(range(1, params.n + 1), k)))
                 else:
-                    pattern = sample_deletion_pattern(rng, len(cw), k, g)
+                    pattern = sample_deletions(rng, len(cw), k, g)
                 reads = apply_deletions(cw, pattern, g)
                 report = build_report(reads, params, total_shift=reads.cols - len(cw))
             else:
@@ -265,7 +265,7 @@ def test_sync_reports_match_old_reports_on_real_reads(k):
                     bits = tuple(tuple(rng.randrange(2) for _ in gamma1) for _ in range(params.d))
                     pattern = EditPattern(tuple(rng.sample(range(1, params.n + 1), r)), gamma1, bits)
                 else:
-                    pattern = sample_edit_pattern(rng, len(cw), k, params.d, g)
+                    pattern = sample_edit_pattern(rng, len(cw), k, g)
                 reads = apply_edits(cw, pattern, g)
                 report = build_edit_report(reads, params, total_shift=reads.cols - len(cw))
             change_points = reference_change_points(reads.rows, report.intervals)

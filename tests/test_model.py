@@ -16,10 +16,15 @@ from rtcodec.model import (
     apply_deletions,
     apply_edits,
     enumerate_deletion_ball,
-    sample_deletion_pattern,
 )
 
-from helpers import bits_str, oracle_edit_matrix, oracle_read_matrix
+from helpers import (
+    bits_str,
+    oracle_edit_matrix,
+    oracle_read_matrix,
+    reference_sample_deletion_pattern,
+    sample_deletions,
+)
 
 C10 = BitTrack([1, 1, 0, 1, 0, 0, 0, 1, 0, 1])
 G12 = HeadGeometry((1, 2))
@@ -67,14 +72,14 @@ def test_single_head_edit_replay():
     assert E.rows.tolist() == [[0, 1]]
 
 
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", range(200))
 def test_matrices_match_definitional_replay(seed):
     rng = random.Random(seed)
     n = rng.randrange(12, 40)
     c = BitTrack([rng.randrange(2) for _ in range(n)])
     g = HeadGeometry(tuple(rng.randrange(1, 4) for _ in range(rng.randrange(1, 3))))
     k = rng.randrange(0, 4)
-    pat = sample_deletion_pattern(rng, n, k, g)
+    pat = sample_deletions(rng, n, k, g)
     D = apply_deletions(c, pat, g)
     expected = oracle_read_matrix(bits_str(c.bits), pat.delta1, g.offsets)
     assert [bits_str(r) for r in D.rows] == expected
@@ -90,11 +95,63 @@ def test_matrices_match_definitional_replay(seed):
     assert [bits_str(r) for r in E.rows] == expected
 
 
+@pytest.mark.parametrize(
+    "n,distances,dels,ins",
+    [
+        (12, (2,), (), (0,)),  # insertion before the first bit
+        (12, (2,), (3,), (10,)),  # insertion after n - span, the last admissible spot
+        (12, (1,), (1, 11), (0, 11)),  # both ends at once
+        (15, (2,), (5,), (5,)),  # a deletion and an insertion at one position
+        (15, (2,), (5, 6), (4, 6)),  # two insertions with only deleted positions between
+        (15, (1,), (4, 5, 6), (3, 4, 5, 6)),  # several insertions on one read index
+        (20, (1, 3), (2, 9), (0, 9, 16)),  # three heads at unequal distances
+        (20, (3, 1), (1, 2, 3), (1, 16)),
+    ],
+)
+def test_edge_patterns_match_definitional_replay(n, distances, dels, ins):
+    rng = random.Random(n + len(dels) + len(ins))
+    c = BitTrack([rng.randrange(2) for _ in range(n)])
+    g = HeadGeometry(distances)
+    bits_rows = tuple(tuple(rng.randrange(2) for _ in ins) for _ in range(g.d))
+    E = apply_edits(c, EditPattern(dels, ins, bits_rows), g)
+    str_rows = [[str(b) for b in row] for row in bits_rows]
+    expected = oracle_edit_matrix(bits_str(c.bits), dels, ins, str_rows, g.offsets)
+    assert [bits_str(r) for r in E.rows] == expected
+    D = apply_deletions(c, DeletionPattern(dels), g)
+    assert [bits_str(r) for r in D.rows] == oracle_read_matrix(bits_str(c.bits), dels, g.offsets)
+
+
+def test_deletion_sampler_matches_reference():
+    """The edit sampler with r=k, s=0 draws the old deletion sampler's positions
+    and leaves the generator in the same state, also when the track is too short."""
+    sweep = random.Random(5)
+    for case in range(2000):
+        n = sweep.randrange(0, 60)
+        k = sweep.randrange(0, 5)
+        g = HeadGeometry(tuple(sweep.randrange(1, 5) for _ in range(sweep.randrange(0, 3))))
+        ours, ref = random.Random(case), random.Random(case)
+        try:
+            expected = reference_sample_deletion_pattern(ref, n, k, g)
+        except InadmissiblePattern:
+            with pytest.raises(InadmissiblePattern):
+                sample_deletions(ours, n, k, g)
+        else:
+            assert sample_deletions(ours, n, k, g) == expected
+        assert ours.getstate() == ref.getstate()
+
+
 def test_shifted_pattern_rejected():
     with pytest.raises(InadmissiblePattern):
         apply_deletions(C10, DeletionPattern((9,)), G12)  # 9 + 3 > 10
     with pytest.raises(InadmissiblePattern):
         apply_edits(C10, EditPattern((), (8,), ((0,), (0,), (0,))), G12)
+    # below the track: deletions start at 1, insertions at 0
+    with pytest.raises(InadmissiblePattern):
+        apply_deletions(C10, DeletionPattern((0,)), G12)
+    with pytest.raises(InadmissiblePattern):
+        apply_edits(C10, EditPattern((0,), (), ((), (), ())), G12)
+    with pytest.raises(InadmissiblePattern):
+        apply_edits(C10, EditPattern((), (-1,), ((0,), (0,), (0,))), G12)
 
 
 def test_row_lengths():
@@ -104,7 +161,7 @@ def test_row_lengths():
         n = rng.randrange(10, 30)
         c = BitTrack([rng.randrange(2) for _ in range(n)])
         k = rng.randrange(0, 3)
-        pat = sample_deletion_pattern(rng, n, k, g)
+        pat = sample_deletions(rng, n, k, g)
         assert apply_deletions(c, pat, g).cols == n - k
         r, s = rng.randrange(0, 2), rng.randrange(0, 2)
         dels = tuple(rng.sample(range(1, n - 3), r))
@@ -152,7 +209,7 @@ def test_ball_contains_every_sampled_matrix():
     g = HeadGeometry((2,))
     ball = enumerate_deletion_ball(c, 2, g)
     for _ in range(1000):
-        pat = sample_deletion_pattern(rng, 12, 2, g)
+        pat = sample_deletions(rng, 12, 2, g)
         assert apply_deletions(c, pat, g) in ball
 
 
