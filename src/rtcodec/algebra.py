@@ -177,7 +177,7 @@ def _rep_run_parse(y: BitArray, fold: int) -> BitArray | None:
     return np.repeat(y[starts], copies)
 
 
-def rep_decode(y, fold: int, msg_len: int | None = None) -> BitArray:
+def rep_decode(y, fold: int, msg_len: int) -> BitArray:
     """Decode a repetition word corrupted by at most fold-1 deletions/insertions.
 
     A pure-deletion run parse is tried first (exact: runs cannot merge or
@@ -187,10 +187,8 @@ def rep_decode(y, fold: int, msg_len: int | None = None) -> BitArray:
     """
     y = as_bits(y)
     parsed = _rep_run_parse(y, fold)
-    if parsed is not None and (msg_len is None or len(parsed) == msg_len):
+    if parsed is not None and len(parsed) == msg_len:
         return parsed
-    if msg_len is None:
-        raise MalformedRepetition("no deletion-only parse; message length needed for edit parse")
     return _rep_decode_dp(y, fold, msg_len)
 
 

@@ -18,6 +18,7 @@ from .delcodec import decode_deletions, encode_deletions
 from .editcodec import decode_edits, encode_edits
 from .errors import BudgetExceeded, DecodeFailure, ParamViolation, RtCodecError
 from .harness import (
+    CODE_KEYS,
     oracle_ball_disjoint,
     oracle_cap_sweep,
     oracle_hasher_exhaustive,
@@ -68,7 +69,6 @@ def _params_from_args(args, n: int) -> CodeParams:
         "k": args.k,
         "d": args.d,
         "hash": args.hash,
-        "rlayer_hash": args.rlayer_hash,
         "paper_exact": not args.relaxed,
     }
     if args.t is not None:
@@ -127,12 +127,18 @@ def cmd_corrupt(args) -> int:
                 pattern = DeletionPattern(delta1)
                 matrix = apply_deletions(track, pattern, params.geometry)
         else:
-            rng = random.Random(args.seed)
+            r, s = args.r, args.s
             if params.kind == "deletion":
-                pattern = sample_edit_pattern(rng, len(track), params.k, params.geometry, r=params.k, s=0)
+                if s:
+                    raise CliError(EXIT_CONFIG, "a deletion code's reads take no insertions; drop --s")
+                r, s = params.k if r is None else r, 0
+            elif (r, s) != (None, None):  # one count given: the other is 0
+                r, s = r or 0, s or 0
+            rng = random.Random(args.seed)
+            pattern = sample_edit_pattern(rng, len(track), params.k, params.geometry, r=r, s=s)
+            if params.kind == "deletion":
                 matrix = apply_deletions(track, DeletionPattern(pattern.delta1), params.geometry)
             else:
-                pattern = sample_edit_pattern(rng, len(track), params.k, params.geometry, r=args.r, s=args.s)
                 matrix = apply_edits(track, pattern, params.geometry)
     except (RtCodecError, ValueError) as e:  # ValueError: a malformed position or bit list
         raise CliError(EXIT_CONFIG, str(e)) from e
@@ -198,8 +204,7 @@ def cmd_oracle(args) -> int:
     try:
         if args.oracle == "ball-disjoint":
             cfg = _load_json(args.config)
-            allowed = {"n", "k", "d", "t", "hash", "rlayer_hash", "count", "seed", "T", "block_len", "paper_exact", "mode"}
-            unknown = set(cfg) - allowed
+            unknown = set(cfg) - CODE_KEYS - {"count", "seed"}
             if unknown:
                 raise CliError(EXIT_CONFIG, f"unknown config keys: {sorted(unknown)}")
             if cfg.get("mode", "del") != "del":
@@ -243,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--d", type=int, required=True)
     enc.add_argument("--t", type=int)
     enc.add_argument("--hash", choices=["identity", "vt", "coloring"], default="identity")
-    enc.add_argument("--rlayer-hash", choices=["identity", "vt", "coloring"], default="identity")
     enc.add_argument("--relaxed", action="store_true")
     enc.add_argument("--period-bound", type=int)
     enc.add_argument("--block-len", type=int)
@@ -256,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     cor.add_argument("--delta1", help="comma-separated deletion positions (head 1)")
     cor.add_argument("--gamma1", help="comma-separated insertion positions (head 1)")
     cor.add_argument("--ins-bits", help="per-head inserted bits, heads comma-separated")
-    cor.add_argument("--r", type=int, help="sampled deletion count (edit mode)")
-    cor.add_argument("--s", type=int, help="sampled insertion count (edit mode)")
+    cor.add_argument("--r", type=int, help="sampled deletion count (default: k, or drawn with --s for edit codes)")
+    cor.add_argument("--s", type=int, help="sampled insertion count (edit codes only)")
     cor.set_defaults(func=cmd_corrupt)
 
     dec = sub.add_parser("decode", help="decode a read matrix back into a track")

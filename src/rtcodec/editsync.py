@@ -65,12 +65,12 @@ def net_shift_of_interval(E: ReadMatrix, interval: tuple[int, int], params: Code
     return -majority(sums.values(), "net-shift")
 
 
-def build_edit_report(E: ReadMatrix, params: CodeParams, total_shift: int | None = None) -> IntervalReport:
+def build_edit_report(E: ReadMatrix, params: CodeParams, total_shift: int) -> IntervalReport:
     """Intervals plus their net shifts.
 
-    The probe vote is only guaranteed inside the period-capped prefix; when
-    ``total_shift`` is supplied, the trailing interval (which always reaches
-    the last column and may cover uncapped redundancy) gets the remainder.
+    The probe vote is only guaranteed inside the period-capped prefix, so the
+    trailing interval (which always reaches the last column and may cover
+    uncapped redundancy) gets the remainder of ``total_shift``.
     """
     intervals = identify_edit_intervals(E, params)
     agree = column_agreement(E.rows)
@@ -78,7 +78,7 @@ def build_edit_report(E: ReadMatrix, params: CodeParams, total_shift: int | None
     for b1, b2 in intervals:
         if agree[b1 - 1 : b2].all():
             shifts.append(0)
-        elif total_shift is not None and b2 == E.cols:
+        elif b2 == E.cols:
             shifts.append(total_shift - sum(shifts))
         else:
             try:

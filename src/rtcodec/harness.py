@@ -31,27 +31,12 @@ from .model import (
 from .params import CodeParams
 from .periodicity import cap_periods, max_periodic_run, period_cap, uncap_periods
 
-TRIAL_CONFIG_KEYS = {
-    "schema_version",
-    "mode",
-    "n",
-    "k",
-    "d",
-    "t",
-    "hash",
-    "rlayer_hash",
-    "trials",
-    "seed",
-    "paper_exact",
-    "T",
-    "block_len",
-    "coloring_budget",
-    "symbol_bits",
-}
+# the config keys ``params_from_config`` reads; trial and oracle configs add their own
+CODE_KEYS = {"mode", "n", "k", "d", "t", "hash", "paper_exact", "T", "block_len"}
 
 
 def validate_trial_config(cfg: dict) -> dict:
-    unknown = set(cfg) - TRIAL_CONFIG_KEYS
+    unknown = set(cfg) - CODE_KEYS - {"schema_version", "trials", "seed"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in ("mode", "n", "k", "d"):
@@ -65,15 +50,10 @@ def validate_trial_config(cfg: dict) -> dict:
 def params_from_config(cfg: dict) -> CodeParams:
     kind = "deletion" if cfg["mode"] == "del" else "edit"
     paper_exact = cfg.get("paper_exact", True)
-    common = dict(
-        hash_mode=cfg.get("hash", "identity"),
-        rlayer_hash_mode=cfg.get("rlayer_hash", "identity"),
-        symbol_bits=cfg.get("symbol_bits", 8),
-        coloring_budget=cfg.get("coloring_budget", 16),
-    )
+    hash_mode = cfg.get("hash", "identity")
     if paper_exact:
         maker = CodeParams.deletion if kind == "deletion" else CodeParams.edit
-        return maker(cfg["n"], cfg["k"], cfg["d"], t=cfg.get("t"), **common)
+        return maker(cfg["n"], cfg["k"], cfg["d"], t=cfg.get("t"), hash_mode=hash_mode)
     t = cfg.get("t")
     if t is None:
         raise ValueError("relaxed configs must give t explicitly")
@@ -84,7 +64,7 @@ def params_from_config(cfg: dict) -> CodeParams:
         kind=kind,
         T=cfg.get("T"),
         block_len=cfg.get("block_len"),
-        **common,
+        hash_mode=hash_mode,
     )
 
 
@@ -180,13 +160,13 @@ def oracle_ball_disjoint(
     }
 
 
-def oracle_hasher_exhaustive(name: str, m: int, k: int, coloring_budget: int = 16) -> dict:
+def oracle_hasher_exhaustive(name: str, m: int, k: int) -> dict:
     """Every sequence, every k-deletion window: recovery must be exact."""
     from itertools import combinations
 
     from .bits import bits_from_int
 
-    hasher = make_hasher(name, coloring_budget)
+    hasher = make_hasher(name)
     if isinstance(hasher, VtHasher) and k != 1:
         raise BudgetExceeded("vt oracle requires k=1")
     checked = failures = 0

@@ -158,9 +158,9 @@ class ColoringHasher(DeletionHasher):
     """
 
     name = "coloring"
+    budget = 16  # widest block whose 2^m-vertex graph is colored
 
-    def __init__(self, budget: int = 16):
-        self.budget = budget
+    def __init__(self):
         self._tables: dict[tuple[int, int], tuple[list[int], int]] = {}
 
     def _check(self, m: int, k: int) -> None:
@@ -267,12 +267,10 @@ _REGISTRY = {
 }
 
 
-@cache  # one instance per setting, so coloring tables are built once
-def make_hasher(name: str, coloring_budget: int = 16) -> DeletionHasher:
+@cache  # one instance per name, so coloring tables are built once
+def make_hasher(name: str) -> DeletionHasher:
     if name not in _REGISTRY:
         raise ValueError(f"unknown hasher {name!r}; choose from {sorted(_REGISTRY)}")
-    if name == "coloring":
-        return ColoringHasher(coloring_budget)
     return _REGISTRY[name]()
 
 

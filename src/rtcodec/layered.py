@@ -2,11 +2,11 @@
 
 A codeword is the period-capped track, then R1 (the outer parity of the
 per-block hashes: odd/even pair parity for d <= k <= 2d-1, Reed-Solomon for
-k >= 2d), then R2 (the (k+1)-fold repetition of a hash of R1). Both codecs
-decode it the same way around their own read synchronization:
+k >= 2d), then R2 = Rep_{k+1}(R1), the (k+1)-fold repetition of R1. Both
+codecs decode it the same way around their own read synchronization:
 
 1. ``bootstrap``: check the parameters and the read shape, recover R1 from
-   the repetition-coded R2 hash, and split it into parity groups;
+   R2, and split it into parity groups;
 2. the codec fills in what synchronization recovers and names the blocks it
    could not trust;
 3. ``restore_blocks``: treat those blocks' hashes as erasures (plus, in the
@@ -57,7 +57,7 @@ def check_params(params: CodeParams, kind: str) -> None:
 
 
 def encode_layered(track: BitTrack, params: CodeParams, kind: str) -> BitArray:
-    """Codeword = capped track ‖ outer parity of block hashes ‖ Rep(hash of parity)."""
+    """Codeword = capped track ‖ outer parity of block hashes ‖ Rep_{k+1}(parity)."""
     check_params(params, kind)
     c = track.bits if isinstance(track, BitTrack) else as_bits(track)
     if len(c) != params.n:
@@ -75,11 +75,7 @@ def encode_layered(track: BitTrack, params: CodeParams, kind: str) -> BitArray:
     else:
         parity = parity_groups_rs(block_groups, layout)
     r1 = groups_to_bits(parity, layout)
-    return np.concatenate([f, r1, _r2(r1, params)])
-
-
-def _r2(r1: BitArray, params: CodeParams) -> BitArray:
-    return rep_encode(params.rlayer_hasher().hash(r1, params.k), params.k + 1)
+    return np.concatenate([f, r1, rep_encode(r1, params.k + 1)])
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ class Bootstrap:
 
 
 def bootstrap(reads: ReadMatrix, params: CodeParams, kind: str) -> Bootstrap:
-    """Check the parameters, row count and read length, then recover R1 from the R2 hash."""
+    """Check the parameters, row count and read length, then recover R1 from R2."""
     check_params(params, kind)
     if reads.d != params.d:
         raise DecodeFailure("input", f"{reads.d} read rows for a {params.d}-head code")
@@ -107,16 +103,15 @@ def bootstrap(reads: ReadMatrix, params: CodeParams, kind: str) -> Bootstrap:
     if not layout.n1:
         return Bootstrap(layout, row1, sigma, [], as_bits([]))
     try:
-        r1_hash = rep_decode(row1[layout.total - layout.n2 :], params.k + 1, msg_len=layout.rlayer_hash_bits)
+        r1 = rep_decode(row1[layout.total - layout.n2 :], params.k + 1, msg_len=layout.n1)
     except RtCodecError as e:
         raise DecodeFailure("rep", str(e)) from e
+    # R1's own read must agree with R2's copy, as the k edits allow
     window = row1[layout.f_len : min(layout.f_len + layout.n1 + sigma, len(row1))]
-    try:
-        r1 = params.rlayer_hasher().recover(window, r1_hash, layout.n1, params.k)
-    except RtCodecError as e:
-        raise DecodeFailure("rlayer-hash", str(e)) from e
+    if edit_distance_at_most(window, r1, params.k) is None:
+        raise DecodeFailure("rlayer-hash", "the R1 read is not within k edits of R2's copy")
     parity = bits_to_groups(r1, layout, layout.parity_groups)
-    return Bootstrap(layout, row1, sigma, parity, np.concatenate([r1, _r2(r1, params)]))
+    return Bootstrap(layout, row1, sigma, parity, np.concatenate([r1, rep_encode(r1, params.k + 1)]))
 
 
 def blocks_touched(layout: Layout, lo: int, hi: int) -> list[int]:

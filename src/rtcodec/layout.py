@@ -4,8 +4,10 @@ A codeword is (capped track ‖ first-layer redundancy R1 ‖ second-layer
 redundancy R2). R1 protects the per-block hash vector of the capped track:
 each block hash is packed into a group of g field symbols, and the outer code
 (odd/even pair parity or Reed-Solomon) runs independently per lane across
-groups, so erasing a block erases one symbol in every lane. R2 is the
-(k+1)-fold repetition of a hash of R1 and bootstraps the decoder.
+groups, so erasing a block erases one symbol in every lane. The field is
+GF(2^8) unless a Reed-Solomon codeword (blocks plus parity) is too long for
+it, then GF(2^16). R2 = Rep_{k+1}(R1), the (k+1)-fold repetition of R1, and
+bootstraps the decoder.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 from .bits import BitArray, as_bits, bits_from_int
 from .algebra import rs_decode_errors_erasures, rs_parity_lanes
 from .errors import ParamViolation, ParityMismatch, TooManyErasures
-from .gf import GF
 from .hashing import block_bounds
 from .params import CodeParams
 
@@ -33,9 +34,8 @@ class Layout:
     blocks: tuple[tuple[int, int], ...]
     hash_bits: int  # padded per-block hash width H
     group_symbols: int  # g = ceil(H / w)
-    symbol_bits: int
+    symbol_bits: int  # field width w, derived by build_layout
     parity_groups: int
-    rlayer_hash_bits: int
 
     @property
     def n1(self) -> int:
@@ -43,7 +43,7 @@ class Layout:
 
     @property
     def n2(self) -> int:
-        return (self.k + 1) * self.rlayer_hash_bits
+        return (self.k + 1) * self.n1
 
     @property
     def total(self) -> int:
@@ -67,34 +67,25 @@ def build_layout(params: CodeParams) -> Layout:
     """Segment geometry of the codeword for ``params`` (either codec)."""
     f_len = params.n + params.k + 1
     blocks = tuple(block_bounds(f_len, params.block_len))
+    w = 8
     if params.regime == "direct" and params.kind == "edit":
         parity_groups = 0
         H = g = 0
     else:
-        hasher = params.hasher()
-        H = max(hasher.hash_len(e - s + 1, params.k) for s, e in blocks)
-        g = (H + params.symbol_bits - 1) // params.symbol_bits
+        H = max(params.hasher().hash_len(e - s + 1, params.k) for s, e in blocks)
         parity_groups = params.rs_parity_blocks if params.regime == "rs" else 2
         if params.regime == "rs":
-            gf = GF.get(params.symbol_bits)
-            if len(blocks) + parity_groups > gf.charac:
-                raise ParamViolation(
-                    f"{len(blocks)}+{parity_groups} symbols exceed GF(2^{params.symbol_bits}); use symbol_bits=16"
-                )
-    n1 = parity_groups * g * params.symbol_bits
-    rlayer_bits = params.rlayer_hasher().hash_len(n1, params.k) if n1 else 0
-    return Layout(
-        n=params.n,
-        k=params.k,
-        f_len=f_len,
-        block_len=params.block_len,
-        blocks=blocks,
-        hash_bits=H,
-        group_symbols=g,
-        symbol_bits=params.symbol_bits,
-        parity_groups=parity_groups,
-        rlayer_hash_bits=rlayer_bits,
-    )
+            w = _rs_width(len(blocks) + parity_groups)
+        g = (H + w - 1) // w
+    return Layout(params.n, params.k, f_len, params.block_len, blocks, H, g, w, parity_groups)
+
+
+def _rs_width(symbols: int) -> int:
+    """Narrowest field width, 8 or 16, whose RS codes (at most 2^w - 1 symbols) fit ``symbols``."""
+    for w in (8, 16):
+        if symbols < 1 << w:
+            return w
+    raise ParamViolation(f"{symbols} Reed-Solomon symbols exceed GF(2^16)")
 
 
 def _symbol_bits(symbols: list[int], w: int) -> BitArray:

@@ -61,9 +61,6 @@ class CodeParams:
     T: int = 0
     block_len: int = 0
     hash_mode: str = "identity"
-    rlayer_hash_mode: str = "identity"
-    symbol_bits: int = 8
-    coloring_budget: int = 16
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
@@ -74,13 +71,10 @@ class CodeParams:
             raise ParamViolation(f"unknown mode {self.mode!r}")
         if self.block_len <= self.k:
             raise ParamViolation("block length must exceed k")
-        if self.symbol_bits not in (8, 16):
-            raise ParamViolation(f"symbol_bits must be a GF width, 8 or 16, got {self.symbol_bits!r}")
-        for key in ("hash_mode", "rlayer_hash_mode"):
-            try:
-                make_hasher(getattr(self, key), self.coloring_budget)
-            except ValueError as e:
-                raise ParamViolation(f"{key}: {e}") from e
+        try:
+            make_hasher(self.hash_mode)
+        except ValueError as e:
+            raise ParamViolation(f"hash_mode: {e}") from e
         if self.mode == "paper-exact":
             self._validate_paper_exact()
 
@@ -109,9 +103,6 @@ class CodeParams:
         d: int,
         t: int | None = None,
         hash_mode: str = "identity",
-        rlayer_hash_mode: str = "identity",
-        symbol_bits: int = 8,
-        coloring_budget: int = 16,
     ) -> "CodeParams":
         t = deletion_min_head_distance(n, k) if t is None else t
         geometry = HeadGeometry.equispaced(d, t)
@@ -124,9 +115,6 @@ class CodeParams:
             T=T,
             block_len=deletion_block_len(geometry.t_max, T, k, d),
             hash_mode=hash_mode,
-            rlayer_hash_mode=rlayer_hash_mode,
-            symbol_bits=symbol_bits,
-            coloring_budget=coloring_budget,
         )
 
     @classmethod
@@ -137,9 +125,6 @@ class CodeParams:
         d: int,
         t: int | None = None,
         hash_mode: str = "identity",
-        rlayer_hash_mode: str = "identity",
-        symbol_bits: int = 8,
-        coloring_budget: int = 16,
     ) -> "CodeParams":
         t = edit_min_head_distance(n, k) if t is None else t
         return cls(
@@ -150,9 +135,6 @@ class CodeParams:
             T=period_cap(n, k),
             block_len=edit_block_len(t, k, d),
             hash_mode=hash_mode,
-            rlayer_hash_mode=rlayer_hash_mode,
-            symbol_bits=symbol_bits,
-            coloring_budget=coloring_budget,
         )
 
     @classmethod
@@ -165,9 +147,6 @@ class CodeParams:
         T: int | None = None,
         block_len: int | None = None,
         hash_mode: str = "coloring",
-        rlayer_hash_mode: str = "identity",
-        symbol_bits: int = 8,
-        coloring_budget: int = 16,
     ) -> "CodeParams":
         """Unchecked small constants for exhaustive testing; no guarantees."""
         geometry = HeadGeometry(distances)
@@ -187,9 +166,6 @@ class CodeParams:
             T=T,
             block_len=block_len,
             hash_mode=hash_mode,
-            rlayer_hash_mode=rlayer_hash_mode,
-            symbol_bits=symbol_bits,
-            coloring_budget=coloring_budget,
         )
 
     # ---- derived ----
@@ -212,10 +188,7 @@ class CodeParams:
         return 2 * (self.k // self.d)
 
     def hasher(self) -> DeletionHasher:
-        return make_hasher(self.hash_mode, self.coloring_budget)
-
-    def rlayer_hasher(self) -> DeletionHasher:
-        return make_hasher(self.rlayer_hash_mode, self.coloring_budget)
+        return make_hasher(self.hash_mode)
 
     def to_dict(self) -> dict:
         return {
@@ -228,23 +201,24 @@ class CodeParams:
             "T": self.T,
             "block_len": self.block_len,
             "hash_mode": self.hash_mode,
-            "rlayer_hash_mode": self.rlayer_hash_mode,
-            "symbol_bits": self.symbol_bits,
-            "coloring_budget": self.coloring_budget,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CodeParams":
         """Inverse of ``to_dict``; a missing field, or one of the wrong type or
-        value, raises ParamViolation."""
+        value, raises ParamViolation. A removed setting is accepted only at the
+        one value it could take."""
         if not isinstance(data, dict):
             raise ParamViolation(f"parameters must be an object, got {type(data).__name__}")
         missing = [key for key in _REQUIRED_FIELDS if key not in data]
         if missing:
             raise ParamViolation(f"parameters lack {', '.join(map(repr, missing))}")
         for key, kind in _FIELD_TYPES.items():
-            if key in data and not _has_type(data[key], kind):
+            if not _has_type(data[key], kind):
                 raise ParamViolation(f"parameter {key!r} must be {kind.__name__}, got {data[key]!r}")
+        for key, value in _REMOVED_FIELDS.items():
+            if key in data and (type(data[key]) is not type(value) or data[key] != value):
+                raise ParamViolation(f"parameter {key!r} is no longer a setting; only {value!r} is accepted")
         t = data["t"]
         if not isinstance(t, list) or not all(_has_type(x, int) for x in t):
             raise ParamViolation(f"parameter 't' must be a list of ints, got {t!r}")
@@ -261,13 +235,8 @@ class CodeParams:
             T=data["T"],
             block_len=data["block_len"],
             hash_mode=data["hash_mode"],
-            rlayer_hash_mode=data["rlayer_hash_mode"],
-            symbol_bits=data.get("symbol_bits", 8),
-            coloring_budget=data.get("coloring_budget", 16),
         )
 
-
-_REQUIRED_FIELDS = ("n", "k", "t", "kind", "mode", "T", "block_len", "hash_mode", "rlayer_hash_mode")
 
 _FIELD_TYPES = {
     "n": int,
@@ -277,10 +246,12 @@ _FIELD_TYPES = {
     "T": int,
     "block_len": int,
     "hash_mode": str,
-    "rlayer_hash_mode": str,
-    "symbol_bits": int,
-    "coloring_budget": int,
 }
+
+_REQUIRED_FIELDS = (*_FIELD_TYPES, "t")
+
+# former settings that had one working value; older sidecars carry them
+_REMOVED_FIELDS = {"rlayer_hash_mode": "identity", "symbol_bits": 8, "coloring_budget": 16}
 
 
 def _has_type(value, kind: type) -> bool:

@@ -455,7 +455,7 @@ def one_lane_layout(width: int = 8):
 
     return Layout(
         n=1, k=1, f_len=1, block_len=2, blocks=(), hash_bits=width,
-        group_symbols=1, symbol_bits=width, parity_groups=2, rlayer_hash_bits=0,
+        group_symbols=1, symbol_bits=width, parity_groups=2,
     )
 
 

@@ -116,7 +116,7 @@ def test_criterion_2_subcodes():
 
 
 def test_criterion_3_hashers():
-    col = ColoringHasher(16)
+    col = ColoringHasher()
     col_checked = 0
     for k in (1, 2):
         for m in range(k + 2, 11):

@@ -171,11 +171,15 @@ MISSING = object()
         ("params", MISSING),
         ("schema_version", 99),
         ("json", '{"schema_version": 1,'),
+        ("symbol_bits", 16),
+        ("rlayer_hash_mode", "vt"),
+        ("coloring_budget", 12),
     ],
 )
 def test_decode_bad_sidecar_is_config_error(tmp_path, capsys, key, value):
     """A sidecar that is not JSON, has the wrong schema, or whose parameters are
-    missing, out of range or of the wrong type exits 3 with one line."""
+    missing, out of range or of the wrong type exits 3 with one line. So does a
+    removed setting at any value but the one it could take."""
     msg = tmp_path / "msg.track"
     write_random_track(msg, 128, 5)
     cw = tmp_path / "cw.track"
@@ -198,6 +202,48 @@ def test_decode_bad_sidecar_is_config_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_decode_accepts_sidecar_with_removed_settings(tmp_path):
+    """A sidecar that still carries the removed settings, at the one value each
+    could take, decodes to the message."""
+    msg = tmp_path / "msg.track"
+    write_random_track(msg, 128, 8)
+    cw = tmp_path / "cw.track"
+    mat = tmp_path / "reads.mat"
+    out = tmp_path / "back.track"
+    assert main(["encode", "--in", str(msg), "--out", str(cw), "--k", "2", "--d", "2"]) == 0
+    path = Path(str(cw) + ".json")
+    doc = json.loads(path.read_text())
+    doc["params"].update({"rlayer_hash_mode": "identity", "symbol_bits": 8, "coloring_budget": 16})
+    path.write_text(json.dumps(doc))
+    assert main(["corrupt", "--in", str(cw), "--out", str(mat), "--seed", "3"]) == 0
+    assert main(["decode", "--in", str(mat), "--sidecar", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == msg.read_text()
+
+
+@pytest.mark.parametrize(
+    "mode,counts,drift",
+    [
+        ("del", [], -2),
+        ("del", ["--r", "1"], -1),
+        ("del", ["--r", "0", "--s", "0"], 0),
+        ("edit", ["--r", "2"], -2),
+        ("edit", ["--s", "2"], 2),
+        ("edit", ["--r", "1", "--s", "1"], 0),
+    ],
+)
+def test_corrupt_sampled_counts_set_the_drift(tmp_path, mode, counts, drift):
+    """Sampled reads are s - r bits longer than the codeword: a deletion code
+    takes --r (default k), and a lone count on an edit code takes 0 for the other."""
+    msg = tmp_path / "msg.track"
+    write_random_track(msg, 64, 6)
+    cw = tmp_path / "cw.track"
+    mat = tmp_path / "reads.mat"
+    assert main(["encode", "--in", str(msg), "--out", str(cw), "--mode", mode, "--k", "2", "--d", "2"]) == 0
+    for seed in range(1, 5):
+        assert main(["corrupt", "--in", str(cw), "--out", str(mat), "--seed", str(seed), *counts]) == 0
+        assert read_matrix(mat).cols - len(read_track(cw)) == drift
 
 
 @pytest.mark.parametrize("sidecar", ["[1, 2]", '{"schema_version": 1}', "schema_version=99", '{"schema_version": 1,'])
@@ -229,11 +275,12 @@ def test_corrupt_bad_sidecar_is_config_error(tmp_path, capsys, sidecar):
         ["--delta1", "3", "--gamma1", "5", "--ins-bits", "x,1"],
         ["--delta1", "3", "--gamma1", "5", "--ins-bits", "2,1"],
         ["--delta1", "3", "--gamma1", "5"],
+        ["--s", "1"],  # a deletion code's reads take no insertions
     ],
 )
 def test_corrupt_bad_pattern_is_config_error(tmp_path, capsys, pattern):
     """A position or inserted-bit list that does not parse or does not fit the
-    heads exits 3 with one line."""
+    heads, or an insertion count for a deletion code, exits 3 with one line."""
     msg = tmp_path / "msg.track"
     write_random_track(msg, 64, 5)
     cw = tmp_path / "cw.track"

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from rtcodec.bits import UNKNOWN
 from rtcodec.delcodec import decode_deletions, deletion_layout, encode_deletions
 from rtcodec.errors import DecodeFailure, ParamViolation
 from rtcodec.layered import bootstrap, restore_blocks
@@ -56,6 +57,30 @@ def test_rs_parity_block_count():
         assert deletion_layout(params).parity_groups == 2 * (k // d)
 
 
+def test_rs_field_width_follows_symbol_count():
+    """An RS code over more than 255 symbols (blocks plus parity) runs over
+    GF(2^16): it round-trips and restores any 4 erased blocks. Fewer keep GF(2^8)."""
+    assert deletion_layout(CodeParams.relaxed(2000, 4, (595,), block_len=10)).symbol_bits == 8
+    params = CodeParams.relaxed(3000, 4, (595,), block_len=10)
+    lay = deletion_layout(params)
+    assert params.regime == "rs" and len(lay.blocks) == 301 and lay.symbol_bits == 16
+    rng = random.Random(9)
+    msg = BitTrack([rng.randrange(2) for _ in range(3000)])
+    cw = BitTrack(encode_deletions(msg, params))
+    for delta1 in ((), (rng.randrange(1, lay.f_len + 1),)):
+        reads = apply_deletions(cw, DeletionPattern(delta1), params.geometry)
+        assert np.array_equal(decode_deletions(reads, params), msg.bits)
+    boot = bootstrap(apply_deletions(cw, DeletionPattern(()), params.geometry), params, "deletion")
+    capped = cw.bits[: lay.f_len]
+    for erased in ([0, 1, 2, 3], [10, 150, 299, 300], sorted(rng.sample(range(301), 4))):
+        est = capped.copy()
+        for i in erased:
+            s, e = lay.blocks[i]
+            est[s - 1 : e] = UNKNOWN
+        out, substituted = restore_blocks(est, erased, boot.parity, lay, params, boot.row1, boot.sigma, 0)
+        assert np.array_equal(out, capped) and substituted == []
+
+
 def test_regime_gate():
     with pytest.raises(ParamViolation):
         encode_deletions(BitTrack([0] * 64), CodeParams.deletion(64, 1, 2))
@@ -100,9 +125,7 @@ def test_fewer_than_k_deletions_accepted():
 def test_relaxed_exhaustive_single_error_coloring():
     """Every admissible single-deletion pattern at toy scale, coloring hashes."""
     rng = random.Random(4)
-    params = CodeParams.relaxed(
-        32, 1, (40,), kind="deletion", block_len=10, hash_mode="coloring", coloring_budget=12
-    )
+    params = CodeParams.relaxed(32, 1, (40,), kind="deletion", block_len=10, hash_mode="coloring")
     for _ in range(2):
         msg = BitTrack([rng.randrange(2) for _ in range(32)])
         cw = BitTrack(encode_deletions(msg, params))

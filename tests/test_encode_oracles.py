@@ -130,7 +130,7 @@ def test_track_format_matches_reference():
 def make_layout(groups: int, g: int, width: int) -> Layout:
     return Layout(
         n=1, k=1, f_len=1, block_len=2, blocks=(), hash_bits=g * width - 3 if g else 0,
-        group_symbols=g, symbol_bits=width, parity_groups=groups, rlayer_hash_bits=0,
+        group_symbols=g, symbol_bits=width, parity_groups=groups,
     )
 
 

@@ -69,7 +69,7 @@ def test_vt_hash_len():
 
 def test_coloring_proper():
     """Sequences sharing a k-deletion window never share a color (m <= 10)."""
-    h = ColoringHasher(16)
+    h = ColoringHasher()
     for m, k in ((6, 1), (8, 2), (10, 2)):
         colors, _ = h._table(m, k)
         windows: dict[bytes, list[int]] = {}
@@ -83,7 +83,7 @@ def test_coloring_proper():
 
 
 def test_coloring_exhaustive_recovery_m8_k2():
-    h = ColoringHasher(16)
+    h = ColoringHasher()
     for v in range(256):
         c = bits_from_int(v, 8)
         tag = h.hash(c, 2)
@@ -97,7 +97,7 @@ def test_coloring_exhaustive_recovery_m8_k2():
 
 
 def test_coloring_mixed_edit_recovery():
-    h = ColoringHasher(16)
+    h = ColoringHasher()
     rng = random.Random(1)
     for _ in range(40):
         v = rng.randrange(64)
@@ -111,11 +111,11 @@ def test_coloring_mixed_edit_recovery():
 
 def test_coloring_budget():
     with pytest.raises(BudgetExceeded):
-        ColoringHasher(8).hash([0] * 12, 2)
+        ColoringHasher().hash([0] * (ColoringHasher.budget + 1), 2)
 
 
 def test_coloring_hash_len_reported():
-    h = ColoringHasher(16)
+    h = ColoringHasher()
     for m, k in ((8, 2), (10, 2), (10, 1)):
         assert h.hash_len(m, k) <= (4 * k * ceil_log2(m) if m > 1 else 1) + 4
 
@@ -169,7 +169,7 @@ def test_recover_blocks_exhaustive_pairs_in_one_block():
 def test_recover_blocks_localizes_corrupt_hash():
     """A wrong color for block 2 never yields block 2: recovery raises or
     returns another block, and at least one wrong color raises."""
-    h = ColoringHasher(16)
+    h = ColoringHasher()
     rng = random.Random(4)
     f = as_bits([rng.randrange(2) for _ in range(40)])
     d = np.delete(f, (12, 13))
