@@ -10,9 +10,12 @@ from rtcodec.params import CodeParams
 # a bad hasher name, and each removed setting at a value other than the one it could take
 BAD = [{"symbol_bits": 12}, {"hash_mode": "bogus"}, {"rlayer_hash_mode": "bogus"}]
 LEGACY = {"rlayer_hash_mode": "identity", "symbol_bits": 8, "coloring_budget": 16}
+# the hasher is the one setting left on the constructors: an empty, an unknown
+# and a wrong-case name (hasher names are case-sensitive)
+BAD_HASHERS = [{"hash_mode": ""}, {"hash_mode": "bogus"}, {"hash_mode": "Coloring"}]
 
 
-@pytest.mark.parametrize("bad", [{"hash_mode": "bogus"}])
+@pytest.mark.parametrize("bad", BAD_HASHERS)
 @pytest.mark.parametrize(
     "make",
     [
