@@ -16,7 +16,7 @@ from pathlib import Path
 from . import files
 from .delcodec import decode_deletions, encode_deletions
 from .editcodec import decode_edits, encode_edits
-from .errors import BudgetExceeded, DecodeFailure, ParamViolation, RtCodecError
+from .errors import DecodeFailure, ParamViolation, RtCodecError
 from .harness import (
     CODE_KEYS,
     oracle_ball_disjoint,
@@ -185,7 +185,7 @@ def cmd_trial(args) -> int:
     trials = args.trials if args.trials is not None else cfg.get("trials", 100)
     try:
         report = run_trials(cfg, seed, trials, stable_report=args.stable_report)
-    except (ParamViolation, ValueError) as e:
+    except (RtCodecError, ValueError) as e:  # includes a hasher that cannot serve the code
         raise CliError(EXIT_CONFIG, str(e)) from e
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -223,9 +223,7 @@ def cmd_oracle(args) -> int:
         else:  # fsweep
             report = oracle_cap_sweep(args.max_n, args.max_k)
             ok = report["violations"] == 0
-    except BudgetExceeded as e:
-        raise CliError(EXIT_CONFIG, str(e)) from e
-    except (ValueError, ParamViolation) as e:
+    except (RtCodecError, ValueError) as e:
         raise CliError(EXIT_CONFIG, str(e)) from e
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

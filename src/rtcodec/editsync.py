@@ -139,9 +139,6 @@ def head_reduction_recover(
             def window(w: int, ell: int) -> tuple[int, int]:
                 v = i_star + 2 * k + (ell - 1) * step_len + (w - w_star) * t
                 return v, v + step_len - 1
-
-            def cut_col(w: int, run_start: int) -> int:
-                return i_star + 2 * k + run_start * step_len + (w - w_star) * t + k
         else:
             direction = "left"
             n_probe = n_probe_right + 2
@@ -149,9 +146,6 @@ def head_reduction_recover(
             def window(w: int, ell: int) -> tuple[int, int]:
                 v = i_star - T - 3 * k - ell * step_len + (w - w_star) * t
                 return v, v + step_len - 1
-
-            def cut_col(w: int, run_start: int) -> int:
-                return i_star - T - 3 * k - (run_start + 1) * step_len + (w - w_star) * t + k
 
         sentinel = k + 1
         x = [[sentinel] * (n_probe + 1) for _ in range(d_cur - 1)]
@@ -189,7 +183,7 @@ def head_reduction_recover(
             raise ReductionStuck(f"inconsistent cut shifts {cuts}")
         new_rows = []
         for w in range(1, d_cur):
-            cut = cut_col(w, run_start)
+            cut = window(w, run_start + 1)[0] + k  # k columns into the run's first window
             shift = cuts[w - 1]
             if not (0 <= cut <= m_cur and 0 <= cut - shift <= m_cur):
                 raise ReductionStuck(f"cut column {cut} outside the segment")

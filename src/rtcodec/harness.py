@@ -12,13 +12,14 @@ from __future__ import annotations
 import random
 import time
 import traceback
+from functools import reduce
 
 import numpy as np
 
 from .delcodec import decode_deletions, encode_deletions
 from .editcodec import decode_edits, encode_edits
-from .errors import BudgetExceeded, DecodeFailure, RtCodecError
-from .hashing import ColoringHasher, VtHasher, make_hasher
+from .errors import DecodeFailure, RtCodecError
+from .hashing import ColoringHasher, _deletions, make_hasher
 from .layout import build_layout
 from .model import (
     BitTrack,
@@ -52,6 +53,8 @@ def params_from_config(cfg: dict) -> CodeParams:
     paper_exact = cfg.get("paper_exact", True)
     hash_mode = cfg.get("hash", "identity")
     if paper_exact:
+        if "T" in cfg or "block_len" in cfg:
+            raise ValueError("T and block_len are set by the paper; give them only with paper_exact: false")
         maker = CodeParams.deletion if kind == "deletion" else CodeParams.edit
         return maker(cfg["n"], cfg["k"], cfg["d"], t=cfg.get("t"), hash_mode=hash_mode)
     t = cfg.get("t")
@@ -162,25 +165,19 @@ def oracle_ball_disjoint(
 
 def oracle_hasher_exhaustive(name: str, m: int, k: int) -> dict:
     """Every sequence, every k-deletion window: recovery must be exact."""
-    from itertools import combinations
-
     from .bits import bits_from_int
 
+    if m < 0 or k < 0:
+        raise ValueError(f"m and k must be non-negative, got m={m}, k={k}")
     hasher = make_hasher(name)
-    if isinstance(hasher, VtHasher) and k != 1:
-        raise BudgetExceeded("vt oracle requires k=1")
     checked = failures = 0
     for v in range(1 << m):
         c = bits_from_int(v, m)
         h = hasher.hash(c, k)
-        windows = set()
-        for pos in combinations(range(m), k):
-            windows.add(np.delete(c, pos).tobytes())
-        for wb in windows:
-            window = np.frombuffer(wb, dtype=np.uint8)
+        for w in reduce(_deletions, range(m, m - k, -1), {v}):
             checked += 1
             try:
-                if not np.array_equal(hasher.recover(window, h, m, k), c):
+                if not np.array_equal(hasher.recover(bits_from_int(w, m - k), h, m, k), c):
                     failures += 1
             except RtCodecError:
                 failures += 1

@@ -7,6 +7,10 @@ compression, usable at any block size), ``vt`` (weighted-sum syndrome,
 single-error blocks only), and ``coloring`` (proper coloring of the
 k-deletion confusability graph, brute-force scale).
 
+VT and coloring each supply an int ``tag``; one search recovers both: of the
+blocks within k edits of the window, keep the one whose tag is the hash. VT
+narrows a single-deletion window to one block by its syndrome.
+
 Any color class of a proper confusability coloring is a k-deletion code, and a
 k-deletion code also separates mixed r+s <= k edit balls, so a window plus a
 color pins at most one sequence even under mixed edits.
@@ -14,27 +18,81 @@ color pins at most one sequence even under mixed edits.
 
 from __future__ import annotations
 
-from functools import cache
-
-import numpy as np
+from collections.abc import Collection
+from functools import cache, reduce
 
 from .bits import BitArray, as_bits, bits_from_int, edit_distance_at_most, int_from_bits
 from .errors import BudgetExceeded, HashRecoveryFailed, UnsupportedK
 
 
+def _deletions(values: set[int], length: int) -> set[int]:
+    """Every (length-1)-bit value left by deleting one bit of a length-bit value."""
+    out = set()
+    for v in values:
+        for j in range(length):  # j low bits stay below the deleted bit
+            out.add((v >> (j + 1)) << j | v & ((1 << j) - 1))
+    return out
+
+
+def _insertions(values: set[int], length: int) -> set[int]:
+    """Every (length+1)-bit value made by inserting one bit into a length-bit value."""
+    out = set()
+    for v in values:
+        for j in range(length + 1):  # j low bits stay below the inserted bit
+            rest = (v >> j) << (j + 1) | v & ((1 << j) - 1)
+            out.add(rest)
+            out.add(rest | 1 << j)
+    return out
+
+
+def edit_completions(y: BitArray, m: int, k: int) -> set[int]:
+    """Every m-bit value that yields window y under r deletions and s
+    insertions, r + s <= k: s bits taken out of y, then r = m - len(y) + s put in."""
+    level = {int_from_bits(y)}
+    out: set[int] = set()
+    for s in range(k + 1):
+        length = len(y) - s
+        if m - length + s > k:
+            break
+        if s:
+            level = _deletions(level, length + 1)
+        if length <= m:
+            grown = level
+            for size in range(length, m):
+                grown = _insertions(grown, size)
+            out |= grown
+    return out
+
+
 class DeletionHasher:
-    """Interface: hash/recover pair plus the advertised hash length."""
+    """A block hash is an int tag written in ``hash_len`` bits; recovery keeps
+    the one candidate within k edits of the window that carries it."""
 
     name: str = "abstract"
 
     def hash_len(self, m: int, k: int) -> int:
         raise NotImplementedError
 
-    def hash(self, c, k: int) -> BitArray:
+    def tag(self, value: int, m: int, k: int) -> int:
         raise NotImplementedError
 
+    def candidates(self, y: BitArray, target: int, m: int, k: int) -> Collection[int]:
+        """m-bit values that may have yielded window y; ``target`` may narrow them."""
+        return edit_completions(y, m, k)
+
+    def hash(self, c, k: int) -> BitArray:
+        c = as_bits(c)
+        width = self.hash_len(len(c), k)
+        return bits_from_int(self.tag(int_from_bits(c), len(c), k), width)
+
     def recover(self, window, h, m: int, k: int) -> BitArray:
-        raise NotImplementedError
+        self.hash_len(m, k)  # rejects an m or k the hasher cannot serve
+        target = int_from_bits(as_bits(h))
+        candidates = self.candidates(as_bits(window), target, m, k)
+        matches = {v for v in candidates if self.tag(v, m, k) == target}
+        if len(matches) != 1:
+            raise HashRecoveryFailed(f"{len(matches)} candidates carry the declared hash")
+        return bits_from_int(matches.pop(), m)
 
 
 class IdentityHasher(DeletionHasher):
@@ -58,95 +116,45 @@ class IdentityHasher(DeletionHasher):
         return h.copy()
 
 
+def _vt_moment(v: int, m: int) -> int:
+    """Sum of i * c_i over the m bits c_1..c_m of v, c_1 the MSB."""
+    total = 0
+    while v:
+        total += m + 1 - (v & -v).bit_length()
+        v &= v - 1
+    return total
+
+
 class VtHasher(DeletionHasher):
     """Weighted-sum syndrome (sum of i*c_i mod m+1) plus parity; k = 1 only."""
 
     name = "vt"
 
-    def _check_k(self, k: int) -> None:
+    def hash_len(self, m: int, k: int) -> int:
         if k != 1:
             raise UnsupportedK(f"vt hasher corrects exactly one error, got k={k}")
-
-    def hash_len(self, m: int, k: int) -> int:
-        self._check_k(k)
         return m.bit_length() + 1
 
-    def hash(self, c, k: int) -> BitArray:
-        self._check_k(k)
-        c = as_bits(c)
-        m = len(c)
-        syndrome = int(np.dot(np.arange(1, m + 1), c) % (m + 1))
-        parity = int(c.sum() % 2)
-        return np.concatenate([bits_from_int(syndrome, m.bit_length()), [np.uint8(parity)]])
+    def tag(self, value: int, m: int, k: int) -> int:
+        return (_vt_moment(value, m) % (m + 1)) << 1 | value.bit_count() & 1
 
-    def recover(self, window, h, m: int, k: int) -> BitArray:
-        self._check_k(k)
-        y = as_bits(window)
-        syndrome = int_from_bits(h[:-1])
-        parity = int(h[-1])
-        if len(y) == m:
-            out = y
-        elif len(y) == m - 1:
-            out = self._insert_one(y, m, syndrome)
-        elif len(y) == m + 1:
-            out = self._delete_one(y, m, syndrome, parity)
-        else:
-            raise HashRecoveryFailed(f"window length {len(y)} incompatible with one edit on {m} bits")
-        if out is None:
-            raise HashRecoveryFailed("no sequence matches the syndrome")
-        if int(out.sum() % 2) != parity or int(np.dot(np.arange(1, m + 1), out) % (m + 1)) != syndrome:
-            raise HashRecoveryFailed("recovered sequence fails the syndrome check")
-        return out
-
-    @staticmethod
-    def _insert_one(y: BitArray, m: int, syndrome: int) -> BitArray | None:
-        """Classical single-deletion correction by weight bookkeeping."""
-        deficit = (syndrome - int(np.dot(np.arange(1, m), y))) % (m + 1)
-        weight = int(y.sum())
-        out = np.empty(m, dtype=np.uint8)
+    def candidates(self, y: BitArray, target: int, m: int, k: int) -> Collection[int]:
+        if len(y) != m - 1:
+            return edit_completions(y, m, k)
+        # classical single-deletion bookkeeping: the syndrome deficit says
+        # which bit was lost and how many ones (or zeros) lie to its right
+        v = int_from_bits(y)
+        weight = v.bit_count()
+        deficit = ((target >> 1) - _vt_moment(v, m - 1)) % (m + 1)
         if deficit <= weight:
-            # deleted bit was 0; ones to its right sum to the deficit
-            ones_right = 0
-            pos = len(y)
-            while pos > 0 and ones_right < deficit:
-                pos -= 1
-                ones_right += int(y[pos])
-            if ones_right != deficit:
-                return None
-            out[:pos] = y[:pos]
-            out[pos] = 0
-            out[pos + 1 :] = y[pos:]
+            bit, marks, below = 0, v, deficit
         else:
-            # deleted bit was 1; zeros to its left make up deficit - weight - 1
-            zeros_needed = deficit - weight - 1
-            zeros = 0
-            pos = 0
-            while pos < len(y) and zeros < zeros_needed:
-                zeros += 1 - int(y[pos])
-                pos += 1
-            if zeros != zeros_needed:
-                return None
-            while pos < len(y) and y[pos] == 1:
-                pos += 1
-            out[:pos] = y[:pos]
-            out[pos] = 1
-            out[pos + 1 :] = y[pos:]
-        return out
-
-    @staticmethod
-    def _delete_one(y: BitArray, m: int, syndrome: int, parity: int) -> BitArray | None:
-        """One inserted bit: scan removals, dedupe by content via run structure."""
-        seen_start = -1
-        for pos in range(m + 1):
-            if pos > 0 and y[pos] == y[pos - 1]:
-                continue  # removing either end of a run gives the same sequence
-            cand = np.delete(y, pos)
-            if int(cand.sum() % 2) == parity and int(np.dot(np.arange(1, m + 1), cand) % (m + 1)) == syndrome:
-                if seen_start >= 0 and not np.array_equal(cand, np.delete(y, seen_start)):
-                    return None
-                if seen_start < 0:
-                    seen_start = pos
-        return np.delete(y, seen_start) if seen_start >= 0 else None
+            bit, marks, below = 1, v ^ ((1 << (m - 1)) - 1), m - deficit
+        rest = marks
+        for _ in range(below):
+            rest &= rest - 1
+        j = (marks ^ rest).bit_length()  # low bits below the lost one
+        return [(v >> j) << (j + 1) | bit << j | v & ((1 << j) - 1)]
 
 
 class ColoringHasher(DeletionHasher):
@@ -167,31 +175,21 @@ class ColoringHasher(DeletionHasher):
         if m > self.budget:
             raise BudgetExceeded(f"coloring over {m}-bit blocks exceeds budget {self.budget}")
 
-    @staticmethod
-    def _subsequences(value: int, m: int, k: int) -> set[tuple[int, int]]:
-        """All (length, value) results of k deletions from an m-bit value."""
-        level = {(m, value)}
-        for _ in range(k):
-            nxt = set()
-            for length, v in level:
-                for pos in range(length):
-                    keep_high = (v >> (length - pos)) << (length - 1 - pos)
-                    keep_low = v & ((1 << (length - 1 - pos)) - 1)
-                    nxt.add((length - 1, keep_high | keep_low))
-            level = nxt
-        return level
-
     def _table(self, m: int, k: int) -> tuple[list[int], int]:
         key = (m, k)
         if key not in self._tables:
-            buckets: dict[tuple[int, int], list[int]] = {}
+
+            def windows(v: int) -> set[int]:  # every k-deletion window of v
+                return reduce(_deletions, range(m, m - k, -1), {v})
+
+            buckets: dict[int, list[int]] = {}
             for v in range(1 << m):
-                for sub in self._subsequences(v, m, k):
+                for sub in windows(v):
                     buckets.setdefault(sub, []).append(v)
             colors = [-1] * (1 << m)
             for v in range(1 << m):
                 used = set()
-                for sub in self._subsequences(v, m, k):
+                for sub in windows(v):
                     for u in buckets[sub]:
                         if u != v and colors[u] >= 0:
                             used.add(colors[u])
@@ -207,57 +205,11 @@ class ColoringHasher(DeletionHasher):
         self._check(m, k)
         return self._table(m, k)[1]
 
-    def color_of(self, c, k: int) -> int:
-        bits = as_bits(c)
-        self._check(len(bits), k)
-        return self._table(len(bits), k)[0][int_from_bits(bits)]
-
     def hash_len(self, m: int, k: int) -> int:
-        self._check(m, k)
-        n_colors = self._table(m, k)[1]
-        return max(1, (n_colors - 1).bit_length())
+        return max(1, (self.color_count(m, k) - 1).bit_length())
 
-    def hash(self, c, k: int) -> BitArray:
-        bits = as_bits(c)
-        m = len(bits)
-        return bits_from_int(self.color_of(bits, k), self.hash_len(m, k))
-
-    def recover(self, window, h, m: int, k: int) -> BitArray:
-        self._check(m, k)
-        y = as_bits(window)
-        target = int_from_bits(as_bits(h))
-        colors, _ = self._table(m, k)
-        matches: set[int] = set()
-        for cand in self._edit_completions(y, m, k):
-            if colors[cand] == target:
-                matches.add(cand)
-        if len(matches) != 1:
-            raise HashRecoveryFailed(f"{len(matches)} candidates share the declared color")
-        return bits_from_int(matches.pop(), m)
-
-    @classmethod
-    def _edit_completions(cls, y: BitArray, m: int, k: int) -> set[int]:
-        """All m-bit values that can yield window y under r deletions + s insertions, r+s <= k."""
-        y_int = int_from_bits(y) if len(y) else 0
-        L = len(y)
-        out: set[int] = set()
-        for s in range(k + 1):
-            r = m - L + s
-            if r < 0 or r + s > k or s > L:
-                continue
-            for length, v in cls._subsequences(y_int, L, s):
-                grown = {(length, v)}
-                for _ in range(r):
-                    nxt = set()
-                    for ln, w in grown:
-                        for pos in range(ln + 1):
-                            hi = (w >> (ln - pos)) << (ln - pos + 1)
-                            lo = w & ((1 << (ln - pos)) - 1)
-                            for b in (0, 1):
-                                nxt.add((ln + 1, hi | (b << (ln - pos)) | lo))
-                    grown = nxt
-                out.update(v2 for ln2, v2 in grown if ln2 == m)
-        return out
+    def tag(self, value: int, m: int, k: int) -> int:
+        return self._table(m, k)[0][value]
 
 
 _REGISTRY = {

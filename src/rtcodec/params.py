@@ -86,12 +86,18 @@ class CodeParams:
             bound = deletion_min_head_distance(self.n, self.k)
             if any(t < bound for t in g.distances):
                 raise ParamViolation(f"head distances {g.distances} below deletion bound {bound}")
+            block_len = deletion_block_len(g.t_max, self.T, self.k, g.d)
         else:
             if len(set(g.distances)) > 1:
                 raise ParamViolation("edit mode requires equal head distances")
             bound = edit_min_head_distance(self.n, self.k)
             if g.distances[0] < bound:
                 raise ParamViolation(f"head distance {g.distances[0]} below edit bound {bound}")
+            block_len = edit_block_len(g.distances[0], self.k, g.d)
+        if self.T != period_cap(self.n, self.k):
+            raise ParamViolation(f"period bound {self.T} is not the paper's {period_cap(self.n, self.k)}")
+        if self.block_len != block_len:
+            raise ParamViolation(f"block length {self.block_len} is not the paper's {block_len}")
 
     # ---- constructors ----
 

@@ -11,6 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rtcodec.bits import BitArray, as_bits, bits_from_int, int_from_bits
+from rtcodec.errors import HashRecoveryFailed, UnsupportedK
+from rtcodec.hashing import ColoringHasher, VtHasher
+
 
 def bits_str(bits) -> str:
     return "".join("1" if int(b) else "0" for b in bits)
@@ -629,3 +633,159 @@ def reference_recover_outside_bits(E, report: ReferenceEditReport, source_len: i
     ok = ~inside & (source_pos >= 1) & (source_pos <= source_len)
     est[source_pos[ok] - 1] = row1[ok]
     return est
+
+
+# ---------------------------------------------------------------------------
+# block-hash recovery as two searches, kept verbatim as the reference for the
+# one shared search: VT's recover with its two single-edit scans, and
+# coloring's table, recover and (length, value) enumeration
+
+
+class ReferenceVtHasher(VtHasher):
+    def _check_k(self, k: int) -> None:
+        if k != 1:
+            raise UnsupportedK(f"vt hasher corrects exactly one error, got k={k}")
+
+    def recover(self, window, h, m: int, k: int) -> BitArray:
+        self._check_k(k)
+        y = as_bits(window)
+        syndrome = int_from_bits(h[:-1])
+        parity = int(h[-1])
+        if len(y) == m:
+            out = y
+        elif len(y) == m - 1:
+            out = self._insert_one(y, m, syndrome)
+        elif len(y) == m + 1:
+            out = self._delete_one(y, m, syndrome, parity)
+        else:
+            raise HashRecoveryFailed(f"window length {len(y)} incompatible with one edit on {m} bits")
+        if out is None:
+            raise HashRecoveryFailed("no sequence matches the syndrome")
+        if int(out.sum() % 2) != parity or int(np.dot(np.arange(1, m + 1), out) % (m + 1)) != syndrome:
+            raise HashRecoveryFailed("recovered sequence fails the syndrome check")
+        return out
+
+    @staticmethod
+    def _insert_one(y: BitArray, m: int, syndrome: int) -> BitArray | None:
+        """Classical single-deletion correction by weight bookkeeping."""
+        deficit = (syndrome - int(np.dot(np.arange(1, m), y))) % (m + 1)
+        weight = int(y.sum())
+        out = np.empty(m, dtype=np.uint8)
+        if deficit <= weight:
+            # deleted bit was 0; ones to its right sum to the deficit
+            ones_right = 0
+            pos = len(y)
+            while pos > 0 and ones_right < deficit:
+                pos -= 1
+                ones_right += int(y[pos])
+            if ones_right != deficit:
+                return None
+            out[:pos] = y[:pos]
+            out[pos] = 0
+            out[pos + 1 :] = y[pos:]
+        else:
+            # deleted bit was 1; zeros to its left make up deficit - weight - 1
+            zeros_needed = deficit - weight - 1
+            zeros = 0
+            pos = 0
+            while pos < len(y) and zeros < zeros_needed:
+                zeros += 1 - int(y[pos])
+                pos += 1
+            if zeros != zeros_needed:
+                return None
+            while pos < len(y) and y[pos] == 1:
+                pos += 1
+            out[:pos] = y[:pos]
+            out[pos] = 1
+            out[pos + 1 :] = y[pos:]
+        return out
+
+    @staticmethod
+    def _delete_one(y: BitArray, m: int, syndrome: int, parity: int) -> BitArray | None:
+        """One inserted bit: scan removals, dedupe by content via run structure."""
+        seen_start = -1
+        for pos in range(m + 1):
+            if pos > 0 and y[pos] == y[pos - 1]:
+                continue  # removing either end of a run gives the same sequence
+            cand = np.delete(y, pos)
+            if int(cand.sum() % 2) == parity and int(np.dot(np.arange(1, m + 1), cand) % (m + 1)) == syndrome:
+                if seen_start >= 0 and not np.array_equal(cand, np.delete(y, seen_start)):
+                    return None
+                if seen_start < 0:
+                    seen_start = pos
+        return np.delete(y, seen_start) if seen_start >= 0 else None
+
+
+class ReferenceColoringHasher(ColoringHasher):
+    @staticmethod
+    def _subsequences(value: int, m: int, k: int) -> set[tuple[int, int]]:
+        """All (length, value) results of k deletions from an m-bit value."""
+        level = {(m, value)}
+        for _ in range(k):
+            nxt = set()
+            for length, v in level:
+                for pos in range(length):
+                    keep_high = (v >> (length - pos)) << (length - 1 - pos)
+                    keep_low = v & ((1 << (length - 1 - pos)) - 1)
+                    nxt.add((length - 1, keep_high | keep_low))
+            level = nxt
+        return level
+
+    def _table(self, m: int, k: int) -> tuple[list[int], int]:
+        key = (m, k)
+        if key not in self._tables:
+            buckets: dict[tuple[int, int], list[int]] = {}
+            for v in range(1 << m):
+                for sub in self._subsequences(v, m, k):
+                    buckets.setdefault(sub, []).append(v)
+            colors = [-1] * (1 << m)
+            for v in range(1 << m):
+                used = set()
+                for sub in self._subsequences(v, m, k):
+                    for u in buckets[sub]:
+                        if u != v and colors[u] >= 0:
+                            used.add(colors[u])
+                c = 0
+                while c in used:
+                    c += 1
+                colors[v] = c
+            n_colors = max(colors) + 1
+            self._tables[key] = (colors, n_colors)
+        return self._tables[key]
+
+    def recover(self, window, h, m: int, k: int) -> BitArray:
+        self._check(m, k)
+        y = as_bits(window)
+        target = int_from_bits(as_bits(h))
+        colors, _ = self._table(m, k)
+        matches: set[int] = set()
+        for cand in self._edit_completions(y, m, k):
+            if colors[cand] == target:
+                matches.add(cand)
+        if len(matches) != 1:
+            raise HashRecoveryFailed(f"{len(matches)} candidates share the declared color")
+        return bits_from_int(matches.pop(), m)
+
+    @classmethod
+    def _edit_completions(cls, y: BitArray, m: int, k: int) -> set[int]:
+        """All m-bit values that can yield window y under r deletions + s insertions, r+s <= k."""
+        y_int = int_from_bits(y) if len(y) else 0
+        L = len(y)
+        out: set[int] = set()
+        for s in range(k + 1):
+            r = m - L + s
+            if r < 0 or r + s > k or s > L:
+                continue
+            for length, v in cls._subsequences(y_int, L, s):
+                grown = {(length, v)}
+                for _ in range(r):
+                    nxt = set()
+                    for ln, w in grown:
+                        for pos in range(ln + 1):
+                            hi = (w >> (ln - pos)) << (ln - pos + 1)
+                            lo = w & ((1 << (ln - pos)) - 1)
+                            for b in (0, 1):
+                                nxt.add((ln + 1, hi | (b << (ln - pos)) | lo))
+                    grown = nxt
+                out.update(v2 for ln2, v2 in grown if ln2 == m)
+        return out

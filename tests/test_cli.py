@@ -158,6 +158,76 @@ def test_oracle_ball_disjoint(tmp_path):
         assert main(["oracle", "ball-disjoint", "--config", str(cfg), "--out", str(out)]) == 3
 
 
+def assert_one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    return err
+
+
+UNSERVED = {"mode": "del", "n": 64, "k": 2, "d": 2, "t": 30, "paper_exact": False}
+
+
+@pytest.mark.parametrize(
+    "oracle,cfg",
+    [
+        (False, {**UNSERVED, "hash": "coloring", "block_len": 40}),  # block wider than the coloring budget
+        (False, {**UNSERVED, "hash": "vt", "block_len": 12}),  # vt corrects one error, k is 2
+        (True, {"n": 16, "k": 2, "d": 2, "t": 20, "paper_exact": False, "hash": "vt", "block_len": 8}),
+    ],
+    ids=["trial-coloring", "trial-vt", "ball-disjoint-vt"],
+)
+def test_hasher_that_cannot_serve_the_code_is_config_error(tmp_path, capsys, oracle, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["oracle", "ball-disjoint", "--config", str(path)] if oracle else ["trial", "--config", str(path)]) == 3
+    assert_one_error_line(capsys)
+
+
+def test_oracle_hasher_config_errors(capsys):
+    """A hasher that cannot serve k exits 3 with its own message, and so does a
+    negative block length or error count."""
+    capsys.readouterr()
+    assert main(["oracle", "hasher", "--hash", "vt", "--m", "6", "--k", "2"]) == 3
+    assert "vt hasher corrects exactly one error" in assert_one_error_line(capsys)
+    for m, k in (("-1", "1"), ("4", "-1")):
+        assert main(["oracle", "hasher", "--hash", "coloring", "--m", m, "--k", k]) == 3
+        assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag,key", [("--period-bound", "T"), ("--block-len", "block_len")])
+def test_paper_exact_code_takes_no_period_bound_or_block_length(tmp_path, capsys, flag, key):
+    """The paper sets T and the block length; only a relaxed code takes them,
+    from the encode flags or from a trial config."""
+    msg = tmp_path / "msg.track"
+    write_random_track(msg, 64, 2)
+    encode = ["encode", "--in", str(msg), "--out", str(tmp_path / "cw.track"), "--k", "2", "--d", "2", flag, "50"]
+    capsys.readouterr()
+    assert main(encode) == 3
+    assert_one_error_line(capsys)
+    assert main([*encode, "--relaxed", "--t", "40"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "del", "n": 64, "k": 2, "d": 2, key: 50}))
+    capsys.readouterr()
+    assert main(["trial", "--config", str(cfg), "--trials", "1"]) == 3
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key,value", [("T", 3), ("block_len", 40)])
+def test_corrupt_rejects_paper_exact_sidecar_with_other_settings(tmp_path, capsys, key, value):
+    msg = tmp_path / "msg.track"
+    write_random_track(msg, 64, 3)
+    cw = tmp_path / "cw.track"
+    assert main(["encode", "--in", str(msg), "--out", str(cw), "--k", "2", "--d", "2"]) == 0
+    path = Path(str(cw) + ".json")
+    doc = json.loads(path.read_text())
+    doc["params"][key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["corrupt", "--in", str(cw), "--out", str(tmp_path / "r.mat")]) == 3
+    assert_one_error_line(capsys)
+
+
 MISSING = object()
 
 
@@ -174,6 +244,8 @@ MISSING = object()
         ("symbol_bits", 16),
         ("rlayer_hash_mode", "vt"),
         ("coloring_budget", 12),
+        ("T", 3),
+        ("block_len", 40),
     ],
 )
 def test_decode_bad_sidecar_is_config_error(tmp_path, capsys, key, value):

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from rtcodec.bits import UNKNOWN, as_bits, bits_from_int, ceil_log2
-from rtcodec.errors import BudgetExceeded, HashRecoveryFailed, UnsupportedK
-from rtcodec.hashing import ColoringHasher, IdentityHasher, VtHasher, block_bounds
+from rtcodec.errors import BudgetExceeded, HashRecoveryFailed, RtCodecError, UnsupportedK
+from rtcodec.hashing import ColoringHasher, IdentityHasher, VtHasher, block_bounds, edit_completions
 from rtcodec.layered import restore_blocks
 from rtcodec.layout import build_layout, pack_group, parity_groups_pair
 from rtcodec.params import CodeParams
 
-from helpers import edit_ball
+from helpers import ReferenceColoringHasher, ReferenceVtHasher, edit_ball
 
 
 def test_identity_roundtrip_and_mismatch():
@@ -118,6 +118,47 @@ def test_coloring_hash_len_reported():
     h = ColoringHasher()
     for m, k in ((8, 2), (10, 2), (10, 1)):
         assert h.hash_len(m, k) <= (4 * k * ceil_log2(m) if m > 1 else 1) + 4
+
+
+def recover_outcome(hasher, window, h, m: int, k: int):
+    """The recovered block as bytes, or the class of the error raised."""
+    try:
+        return hasher.recover(window, h, m, k).tobytes()
+    except RtCodecError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize(
+    "new,old,k,max_m",
+    [
+        (VtHasher(), ReferenceVtHasher(), 1, 7),
+        (ColoringHasher(), ReferenceColoringHasher(), 1, 6),
+        (ColoringHasher(), ReferenceColoringHasher(), 2, 6),
+    ],
+    ids=["vt", "coloring-k1", "coloring-k2"],
+)
+def test_recover_matches_the_searches_it_replaced(new, old, k, max_m):
+    """Every window within k+1 of the block length, with every hash value:
+    the shared search returns the block the old search returned, or raises
+    the same class."""
+    for m in range(1, max_m + 1):
+        width = new.hash_len(m, k)
+        hashes = [bits_from_int(h, width) for h in range(1 << width)]
+        for length in range(max(0, m - k - 1), m + k + 2):
+            for y in range(1 << length):
+                window = bits_from_int(y, length)
+                for h in hashes:
+                    assert recover_outcome(new, window, h, m, k) == recover_outcome(old, window, h, m, k)
+
+
+def test_edit_completions_match_the_old_enumeration():
+    rng = random.Random(5)
+    for m in range(1, 13):
+        for k in range(1, 4):
+            for _ in range(4):
+                length = rng.randint(max(0, m - k), m + k)
+                y = as_bits([rng.randrange(2) for _ in range(length)])
+                assert edit_completions(y, m, k) == ReferenceColoringHasher._edit_completions(y, m, k)
 
 
 def test_block_bounds():

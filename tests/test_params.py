@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from rtcodec.errors import ParamViolation
 from rtcodec.params import CodeParams
 
-# a bad hasher name, and each removed setting at a value other than the one it could take
-BAD = [{"symbol_bits": 12}, {"hash_mode": "bogus"}, {"rlayer_hash_mode": "bogus"}]
+# a bad hasher name, each removed setting at a value other than the one it could
+# take, and a paper-exact code with a period bound or block length not the paper's
+BAD = [{"symbol_bits": 12}, {"hash_mode": "bogus"}, {"rlayer_hash_mode": "bogus"}, {"T": 3}, {"block_len": 40}]
 LEGACY = {"rlayer_hash_mode": "identity", "symbol_bits": 8, "coloring_budget": 16}
 # the hasher is the one setting left on the constructors: an empty, an unknown
 # and a wrong-case name (hasher names are case-sensitive)
