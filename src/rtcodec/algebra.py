@@ -16,6 +16,7 @@ import numpy as np
 from .bits import BitArray, as_bits
 from .errors import DecodeFailure, FieldTooSmall, MalformedRepetition, TooManyErasures
 from .gf import GF
+from .trace import Trace
 
 
 # ---------------------------------------------------------------------------
@@ -165,30 +166,76 @@ def rep_encode(bits, fold: int) -> BitArray:
     return np.repeat(as_bits(bits), fold)
 
 
-def _rep_run_parse(y: BitArray, fold: int) -> BitArray | None:
-    """Deletion-only parse: round each run up to whole symbols; None if over budget."""
-    if len(y) == 0:
-        return as_bits([])
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(y)) + 1))
-    lengths = np.diff(np.append(starts, len(y)))
-    copies = -(-lengths // fold)
-    if int((copies * fold - lengths).sum()) > fold - 1:
-        return None
-    return np.repeat(y[starts], copies)
+def _rep_run_parse(values: BitArray, lengths: np.ndarray, fold: int, bias: int) -> tuple[BitArray, int]:
+    """Read each run of ``lengths`` bits as ``(length + bias) // fold`` symbols.
+
+    ``bias = fold - 1`` rounds up, a deletion-only parse. ``bias = fold // 2``
+    rounds to the nearest count, so a run can get no symbol: it is deleted.
+    Deleting an inner run merges its two neighbours. Merges go one at a time,
+    the one that lowers the rounding error most first, while fewer than
+    ``fold`` bits have gone this way. Returns the symbols and the edits the
+    parse implies: the deleted bits plus each run's distance from ``fold``
+    times its symbols.
+    """
+
+    def error(run: int) -> int:
+        return abs(run - fold * ((run + bias) // fold))
+
+    def live(i: int, step: int) -> int:  # the nearest run on that side not yet merged away
+        i += step
+        while i in dead:
+            i += step
+        return i
+
+    copies = (lengths + bias) // fold
+    edits = int(np.abs(lengths - fold * copies).sum())  # a run of no symbols counts as deleted
+    zero = np.flatnonzero(copies == 0).tolist()
+    lengths, dead, deleted = lengths.copy(), set(), 0
+    # a merge clears at most three symbol-less runs, and each one left is
+    # deleted: from 3*fold of them on, no parse comes under fold edits
+    while zero and deleted < fold and len(zero) < 3 * fold:
+        merges = []
+        for j in zero:
+            a, b = live(j, -1), live(j, 1)
+            if a >= 0 and b < len(lengths):
+                la, lb = int(lengths[a]), int(lengths[b])
+                merges.append((error(la + lb) - error(la) - error(lb), j, a, b))
+        if not merges:
+            break
+        gain, j, a, b = min(merges)
+        deleted += int(lengths[j])
+        edits += gain
+        lengths[a] += lengths[b]
+        copies[a], copies[b] = (lengths[a] + bias) // fold, 0
+        dead |= {j, b}
+        zero = [z for z in zero if z not in dead and copies[z] == 0]
+    return np.repeat(values, copies), edits
 
 
-def rep_decode(y, fold: int, msg_len: int) -> BitArray:
+def rep_decode(y, fold: int, msg_len: int, trace: Trace | None = None) -> BitArray:
     """Decode a repetition word corrupted by at most fold-1 deletions/insertions.
 
-    A pure-deletion run parse is tried first (exact: runs cannot merge or
-    vanish under fewer than ``fold`` deletions); inputs that only fit a mixed
-    parse fall back to a banded DP over (symbols consumed, drift), which is
-    unique because a fold-repetition code corrects any fold-1 mixed edits.
+    Two run parses come first, rounding each run up and then to the nearest
+    symbol count. A parse is an edit script turning y into its repetition, and
+    two repetition words of one length are at least 2*fold edits apart, so a
+    parse of ``msg_len`` symbols within fold-1 edits is the one message the DP
+    would return. Other inputs go to a banded DP over (symbols consumed,
+    drift). ``trace`` counts the path taken: ``rep.parse_up``,
+    ``rep.parse_nearest`` or ``rep.dp``.
     """
     y = as_bits(y)
-    parsed = _rep_run_parse(y, fold)
-    if parsed is not None and len(parsed) == msg_len:
-        return parsed
+    boundary = np.ones(len(y) + 1, dtype=bool)  # where a run starts or y ends
+    boundary[1:-1] = y[1:] != y[:-1]
+    edges = np.flatnonzero(boundary)
+    values, lengths = y[edges[:-1]], np.diff(edges)
+    for bias, path in ((fold - 1, "rep.parse_up"), (fold // 2, "rep.parse_nearest")):
+        parsed, edits = _rep_run_parse(values, lengths, fold, bias)
+        if edits < fold and len(parsed) == msg_len:
+            if trace is not None:
+                trace.counters[path] += 1
+            return parsed
+    if trace is not None:
+        trace.counters["rep.dp"] += 1
     return _rep_decode_dp(y, fold, msg_len)
 
 

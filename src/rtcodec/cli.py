@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: encode, corrupt, decode, trial, oracle. Exit codes: 0 success,
-2 decode failure, 3 configuration error, 4 I/O error.
+2 decode failure, 3 configuration error, 4 I/O error, 5 internal error.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ EXIT_OK = 0
 EXIT_DECODE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 class CliError(Exception):
@@ -300,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
+    except Exception as e:  # a fault in the library itself, reported in one line
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

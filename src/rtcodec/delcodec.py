@@ -43,7 +43,7 @@ def decode_deletions(D: ReadMatrix, params: CodeParams, trace: Trace | None = No
     if trace is None:
         trace = Trace()
     with trace.stage("bootstrap"):
-        boot = bootstrap(D, params, "deletion")
+        boot = bootstrap(D, params, "deletion", trace)
     layout = boot.layout
     with trace.stage("sync"):
         try:

@@ -81,7 +81,7 @@ def decode_edits(E: ReadMatrix, params: CodeParams, trace: Trace | None = None) 
     if trace is None:
         trace = Trace()
     with trace.stage("bootstrap"):
-        boot = bootstrap(E, params, "edit")
+        boot = bootstrap(E, params, "edit", trace)
     f_len = boot.layout.f_len
     with trace.stage("sync"):
         try:

@@ -42,6 +42,7 @@ from .layout import (
 from .model import BitTrack, ReadMatrix
 from .params import CodeParams
 from .periodicity import cap_periods, uncap_periods
+from .trace import Trace
 
 
 def check_params(params: CodeParams, kind: str) -> None:
@@ -89,8 +90,11 @@ class Bootstrap:
     tail: BitArray  # R1 ‖ R2, the codeword after the capped track
 
 
-def bootstrap(reads: ReadMatrix, params: CodeParams, kind: str) -> Bootstrap:
-    """Check the parameters, row count and read length, then recover R1 from R2."""
+def bootstrap(reads: ReadMatrix, params: CodeParams, kind: str, trace: Trace | None = None) -> Bootstrap:
+    """Check the parameters, row count and read length, then recover R1 from R2.
+
+    ``trace`` counts the path ``rep_decode`` took.
+    """
     check_params(params, kind)
     if reads.d != params.d:
         raise DecodeFailure("input", f"{reads.d} read rows for a {params.d}-head code")
@@ -103,7 +107,7 @@ def bootstrap(reads: ReadMatrix, params: CodeParams, kind: str) -> Bootstrap:
     if not layout.n1:
         return Bootstrap(layout, row1, sigma, [], as_bits([]))
     try:
-        r1 = rep_decode(row1[layout.total - layout.n2 :], params.k + 1, msg_len=layout.n1)
+        r1 = rep_decode(row1[layout.total - layout.n2 :], params.k + 1, msg_len=layout.n1, trace=trace)
     except RtCodecError as e:
         raise DecodeFailure("rep", str(e)) from e
     # R1's own read must agree with R2's copy, as the k edits allow

@@ -13,6 +13,7 @@ from rtcodec.errors import (
     MalformedRepetition,
     TooManyErasures,
 )
+from rtcodec.trace import Trace
 
 from helpers import (
     edit_ball,
@@ -220,6 +221,13 @@ def random_edits(rng: random.Random, word: np.ndarray, edits: int, insertions: b
     return np.array(y, dtype=np.uint8)
 
 
+def runs_of(y) -> tuple[np.ndarray, np.ndarray]:
+    """The value and the length of each run of y."""
+    y = np.asarray(y, dtype=np.uint8)
+    starts = [i for i in range(len(y)) if i == 0 or y[i] != y[i - 1]]
+    return y[starts], np.diff([*starts, len(y)]).astype(np.int64)
+
+
 def test_rep_decode_matches_reference_decoders():
     """The plain DP agrees with the numpy DP and the vectorised run parse with
     the loop over runs, on both sides of the old 64-symbol cut, up to one edit
@@ -234,10 +242,10 @@ def test_rep_decode_matches_reference_decoders():
                 cw = rep_encode(msg, fold)
                 dels = random_edits(rng, cw, edits, insertions=False)
                 want = reference_rep_run_parse(dels, fold)
-                got = _rep_run_parse(dels, fold)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert np.array_equal(got, want[0])
+                got, cost = _rep_run_parse(*runs_of(dels), fold, fold - 1)
+                assert (cost > fold - 1) == (want is None)
+                if want is not None:
+                    assert np.array_equal(got, want[0]) and cost == want[1]
                 for y in (dels, random_edits(rng, cw, edits, insertions=True)):
                     try:
                         want = reference_rep_decode_dp(y, fold, msg_len)
@@ -249,3 +257,102 @@ def test_rep_decode_matches_reference_decoders():
                     assert np.array_equal(rep_decode(y, fold, msg_len), want)
                     outcomes["decoded"] += 1
     assert outcomes["decoded"] > 0 and outcomes["raised"] > 0, outcomes
+
+
+def test_rep_nearest_parse_merges_one_run_at_a_time():
+    """Of two symbol-less runs, deleting the first merges 9+1 into two clean
+    symbols; deleting both at once would leave three rounding edits."""
+    values, lengths = np.array([1, 0, 1, 0], dtype=np.uint8), np.array([9, 1, 1, 5])
+    parsed, edits = _rep_run_parse(values, lengths, 5, 5 // 2)
+    assert parsed.tolist() == [1, 1, 0] and edits == 1
+    assert lengths.tolist() == [9, 1, 1, 5]  # the caller's runs are left as they were
+
+
+def same_outcome(y, fold: int, msg_len: int) -> str:
+    """Which path decoded y, after checking that rep_decode returns what the
+    reference DP returns, or raises the same exception class."""
+    trace = Trace()
+    try:
+        want = reference_rep_decode_dp(y, fold, msg_len)
+    except MalformedRepetition:
+        with pytest.raises(MalformedRepetition):
+            rep_decode(y, fold, msg_len, trace)
+        return "raised"
+    got = rep_decode(y, fold, msg_len, trace)
+    assert np.array_equal(got, want), (list(y), fold, msg_len)
+    (path,) = trace.counters
+    return path
+
+
+def planted_words(fold: int):
+    """(word, msg_len) pairs around the spots where a run parse can go wrong."""
+    budget = fold - 1
+    for b in (0, 1):
+        flank = [1 - b] * (2 * fold)
+        # an opposite bit inserted at every offset of a run of 1 to 3*fold bits
+        for run in range(1, 3 * fold + 1):
+            for offset in range(run + 1):
+                middle = [b] * offset + [1 - b] + [b] * (run - offset)
+                y = flank + middle + flank
+                for msg_len in range(max((len(y) - budget) // fold, 1), (len(y) + budget) // fold + 1):
+                    yield y, msg_len
+    rng = random.Random(fold)
+    for _ in range(20):
+        msg = [rng.randrange(2) for _ in range(8)]
+        cw = rep_encode(msg, fold).tolist()
+        bounds = [i for i in range(1, len(cw)) if cw[i] != cw[i - 1]]
+        # one bit inserted at each run boundary, with up to fold-1 more edits
+        for i in bounds:
+            for bit in (0, 1):
+                y = cw[:i] + [bit] + cw[i:]
+                yield y, len(msg)
+                yield random_edits(rng, np.array(y, dtype=np.uint8), rng.randrange(fold), True).tolist(), len(msg)
+        # prefix bits slid in from before the word, or slid out of it
+        for slide in range(1, fold + 1):
+            yield [rng.randrange(2) for _ in range(slide)] + cw, len(msg)
+            yield cw[slide:], len(msg)
+            yield [1 - cw[0]] * slide + random_edits(rng, np.array(cw), fold - slide, True).tolist(), len(msg)
+
+
+def test_rep_decode_parses_agree_with_the_reference_dp():
+    """Both run parses give what the DP gives, on every input: criterion 2's
+    balls taken one edit past the budget, seeded random words, and planted
+    shapes (an opposite bit at every offset of a run, insertions at run
+    boundaries, slid prefix bits)."""
+    paths = {"rep.parse_up": 0, "rep.parse_nearest": 0, "rep.dp": 0, "raised": 0}
+    for fold, max_len in ((2, 6), (3, 4), (4, 2)):
+        for length in range(1, max_len + 1):
+            ball = set()
+            for v in range(1 << length):
+                ball |= edit_ball("".join(ch * fold for ch in format(v, f"0{length}b")), fold)
+            for y in sorted(ball):
+                paths[same_outcome(np.array([int(ch) for ch in y], dtype=np.uint8), fold, length)] += 1
+    rng = random.Random(2040)
+    for fold in range(2, 7):
+        for _ in range(100):
+            msg_len = rng.randrange(1, 30)
+            y = np.array([rng.randrange(2) for _ in range(fold * msg_len + rng.randrange(-fold, fold + 1))], dtype=np.uint8)
+            paths[same_outcome(y, fold, msg_len)] += 1
+            cw = rep_encode([rng.randrange(2) for _ in range(msg_len)], fold)
+            paths[same_outcome(random_edits(rng, cw, rng.randrange(fold + 2), True), fold, msg_len)] += 1
+        for y, msg_len in planted_words(fold):
+            paths[same_outcome(np.array(y, dtype=np.uint8), fold, msg_len)] += 1
+    assert all(paths.values()), paths
+
+
+def test_rep_decode_skips_the_dp_on_edit_rs_words():
+    """R2 words of the edit-rs shape (fold 5, 4128 symbols) with at most 4
+    mixed edits are all answered by a run parse."""
+    rng = np.random.default_rng(2041)
+    trace = Trace()
+    for _ in range(200):
+        msg = rng.integers(0, 2, size=4128, dtype=np.uint8)
+        y = rep_encode(msg, 5)
+        for _ in range(rng.integers(0, 5)):
+            if rng.integers(2):
+                y = np.insert(y, rng.integers(len(y) + 1), rng.integers(2))
+            else:
+                y = np.delete(y, rng.integers(len(y)))
+        assert np.array_equal(rep_decode(y, 5, 4128, trace), msg)
+    assert trace.counters["rep.dp"] == 0, dict(trace.counters)
+    assert sum(trace.counters.values()) == 200

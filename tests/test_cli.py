@@ -380,6 +380,9 @@ def test_decode_report_carries_trace(tmp_path, mode, k, d):
     assert doc["ok"] is True
     assert {"bootstrap", "sync", "intervals", "finish" if mode == "del" else "choices"} <= set(doc["trace"]["stages"])
     assert any(ev["kind"] == "interval" for ev in doc["trace"]["events"])
+    # one repetition decode of R2, counted under the path that answered it
+    rep_paths = {name: n for name, n in doc["trace"]["counters"].items() if name.startswith("rep.")}
+    assert sum(rep_paths.values()) == 1 and set(rep_paths) <= {"rep.parse_up", "rep.parse_nearest", "rep.dp"}
 
     reads = read_matrix(mat)
     write_matrix(mat, ReadMatrix(reads.rows[:, :-20], kind=reads.kind))
@@ -432,3 +435,28 @@ def test_trial_records_crashes(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert doc["successes"] == 0
     assert doc["stage_histogram"] == {"crash:IndexError": 3}
+
+
+@pytest.mark.parametrize("step", ["encode", "decode"])
+def test_internal_error_exits_5_with_one_line(tmp_path, monkeypatch, capsys, step):
+    """An exception that is not a library error ends in one error line and
+    exit code 5, not a traceback."""
+    from rtcodec import cli
+
+    def broken(*args):
+        raise IndexError("codec bug")
+
+    msg, cw, mat = tmp_path / "msg.track", tmp_path / "cw.track", tmp_path / "reads.mat"
+    write_random_track(msg, 128, 3)
+    encode = ["encode", "--in", str(msg), "--out", str(cw), "--k", "2", "--d", "2"]
+    if step == "decode":
+        assert main(encode) == 0
+        assert main(["corrupt", "--in", str(cw), "--out", str(mat), "--seed", "1"]) == 0
+    monkeypatch.setattr(cli, f"{step}_deletions", broken)
+    capsys.readouterr()
+    if step == "encode":
+        argv = encode
+    else:
+        argv = ["decode", "--in", str(mat), "--sidecar", str(cw) + ".json", "--out", str(tmp_path / "out.track")]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == "error: internal: IndexError: codec bug\n"
