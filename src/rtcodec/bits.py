@@ -3,7 +3,7 @@
 Tracks are binary sequences. In memory they are numpy uint8 arrays of 0/1; on
 disk they are either hex files with a ``len=<n>`` header (MSB-first, zero
 padding in the final nibble) or raw ASCII 0/1 lines for fixtures. Interval
-marking, the interval report, the shift probe and the vote serve both decoders.
+marking, the interval report, the shift table and the vote serve both decoders.
 """
 
 from __future__ import annotations
@@ -165,23 +165,47 @@ class IntervalReport:
         return out
 
 
-def probe_shift(rowA: BitArray, rowB: BitArray, a: int, b: int, shifts) -> int | None:
-    """The unique x in ``shifts`` with rowA[a, b-x] == rowB[a+x, b].
+def shift_table(rowA: BitArray, rowB: BitArray, a, b, shifts) -> list[int | None]:
+    """Per window [a_i, b_i], the unique x in ``shifts`` with rowA[a, b-x] == rowB[a+x, b].
 
-    1-based inclusive window [a, b]; a negative x compares rowA[a-x, b] with
+    1-based inclusive windows; a negative x compares rowA[a-x, b] with
     rowB[a, b+x]. None when the window leaves rowA or is no longer than the
     largest shift, and when no x or several x match.
+
+    One table row per shift x marks the mismatches rowA[j] != rowB[j+x], over
+    only the columns the windows span (a j whose rowB column lies past rowB's
+    end is a mismatch). x matches a window when the window's range of j,
+    [a-1+max(-x,0), b-max(x,0)), holds none; one ``logical_or.reduceat``
+    answers every (shift, window) pair.
     """
-    if a < 1 or b > len(rowA) or b - a + 1 <= max(map(abs, shifts)):
-        return None
-    found = None
-    for x in shifts:
-        lo, hi = max(x, 0), max(-x, 0)
-        if np.array_equal(rowA[a - 1 + hi : b - lo], rowB[a - 1 + lo : b - hi]):
-            if found is not None:
-                return None
-            found = x
-    return found
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    shifts = np.asarray(shifts, dtype=np.int64)
+    out: list[int | None] = [None] * len(a)
+    probed = np.flatnonzero((a >= 1) & (b <= len(rowA)) & (b - a + 1 > np.abs(shifts).max()))
+    if not len(probed):
+        return out
+    probed = probed[np.argsort(a[probed], kind="stable")]  # so that the gaps between ranges stay short
+    a, b = a[probed], b[probed]
+    lo, hi = int(a.min()) - 1, int(b.max())
+    x_lo, x_hi = int(shifts.min()), int(shifts.max())
+    # rowB over columns lo+x_lo .. hi+x_hi, holding 2 (never a bit) past its ends
+    padded = np.full(hi - lo + x_hi - x_lo, 2, dtype=np.uint8)
+    src_lo, src_hi = max(lo + x_lo, 0), min(hi + x_hi, len(rowB))
+    if src_lo < src_hi:
+        padded[src_lo - lo - x_lo : src_hi - lo - x_lo] = rowB[src_lo:src_hi]
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, hi - lo)[shifts - x_lo]
+    # one row per shift, plus a spare column so that every range ends inside its row
+    mismatch = np.ones((len(shifts), hi - lo + 1), dtype=bool)
+    np.not_equal(shifted, rowA[lo:hi], out=mismatch[:, :-1])
+    row = np.arange(len(shifts))[:, None] * (hi - lo + 1)
+    starts = row + a - 1 - lo + np.maximum(-shifts, 0)[:, None]
+    ends = row + b - lo - np.maximum(shifts, 0)[:, None]
+    bounds = np.stack([starts, ends], axis=-1).ravel()  # reduceat's odd slices, the gaps, are dropped
+    match = ~np.logical_or.reduceat(mismatch.ravel(), bounds)[::2].reshape(len(shifts), -1)
+    unique = match.sum(axis=0) == 1
+    for i, x in zip(probed[unique].tolist(), shifts[match.argmax(axis=0)][unique].tolist()):
+        out[i] = x
+    return out
 
 
 def majority(values, what: str) -> int:

@@ -5,8 +5,8 @@ into at most k disjoint read intervals: long stretches where all rows agree
 cannot contain deletions (a deletion would force a long low-period window),
 so their interiors are marked and the unmarked remainder brackets the errors.
 Per-interval deletion counts then come from majority voting over row-1/row-2
-shift probes spaced one head distance apart; the report type, the probe, the
-vote and the alignment of everything outside the intervals are shared with
+shift probes spaced one head distance apart; the report type, the shift table,
+the vote and the alignment of everything outside the intervals are shared with
 edit mode (``bits``).
 """
 
@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .bits import BitArray, IntervalReport, as_bits, majority, probe_shift, unmarked_intervals
+from .bits import BitArray, IntervalReport, as_bits, majority, shift_table, unmarked_intervals
 from .errors import Ambiguous, BudgetExceeded, MajorityTie, NoCandidate
 from .model import HeadGeometry, ReadMatrix
 from .params import CodeParams
@@ -60,21 +60,18 @@ def count_deletions_in_interval(
     t1 = params.geometry.distances[0]
     stride = T + 2 * k + 1
     win = T + k + 1
-    sums: dict[int, int] = {m: 0 for m in range(1, 4 * k + 2)}
-    length = b_max - b_min + 1
-    for i in range(1, (length + t1 - 1) // t1 + 1):
-        for m in range(1, 4 * k + 2):
-            p = b_min + (i - 1) * t1 + (m - 1) * stride
-            q = p + win - 1  # untruncated end; window in the probe set only if it fits
-            if q > b_max:
-                continue
-            x_val = probe_shift(row1, row2, p, q, range(k + 1))
-            if x_val is None:
-                x_val = 0
-                trace.counters["count.fallbacks"] += 1
-            sums[m] += x_val
-    trace.event("count_vote", interval=interval, sums=list(sums.values()))
-    return majority(sums.values(), "count")
+    tiles = (b_max - b_min + t1) // t1
+    residue = np.tile(np.arange(4 * k + 1), tiles)
+    p = b_min + np.repeat(np.arange(tiles), 4 * k + 1) * t1 + residue * stride
+    q = p + win - 1
+    fits = q <= b_max  # a window is in the probe set only if it fits
+    found = shift_table(row1, row2, p[fits], q[fits], range(k + 1))
+    if None in found:
+        trace.counters["count.fallbacks"] += found.count(None)
+    votes = [0 if x is None else x for x in found]
+    sums = np.bincount(residue[fits], weights=votes, minlength=4 * k + 1).astype(np.int64).tolist()
+    trace.event("count_vote", interval=interval, sums=sums)
+    return majority(sums, "count")
 
 
 def build_report(

@@ -73,7 +73,8 @@ def decode_edits(E: ReadMatrix, params: CodeParams, trace: Trace | None = None) 
     """Recover the stored track from reads with at most k mixed edits per head.
 
     ``trace`` receives the stages bootstrap, sync, intervals, then finish
-    (k < d) or choices, one ``interval`` event per interval (after the
+    (k < d) or choices, one ``shift_vote`` event per interval whose net shift
+    was voted, one ``interval`` event per interval (after the
     ``reduction_step`` events of its head reduction) and one ``choice`` event
     per distrust choice tried (the README's ``decode --report`` section lists
     their fields).
@@ -85,7 +86,7 @@ def decode_edits(E: ReadMatrix, params: CodeParams, trace: Trace | None = None) 
     f_len = boot.layout.f_len
     with trace.stage("sync"):
         try:
-            report = build_edit_report(E, params, total_shift=boot.sigma)
+            report = build_edit_report(E, params, total_shift=boot.sigma, trace=trace)
         except RtCodecError as e:
             raise DecodeFailure("sync", str(e)) from e
         est0 = recover_outside_bits(E, report, f_len)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import BitArray, IntervalReport, column_agreement, majority, probe_shift, unmarked_intervals
+from .bits import BitArray, IntervalReport, column_agreement, majority, shift_table, unmarked_intervals
 from .errors import MajorityTie, ReductionStuck
 from .model import ReadMatrix
 from .params import CodeParams
@@ -33,44 +33,53 @@ def identify_edit_intervals(E: ReadMatrix, params: CodeParams) -> list[tuple[int
     return unmarked_intervals(E.rows, margin, 2 * margin + 1, E.cols)
 
 
-def net_shift_of_interval(E: ReadMatrix, interval: tuple[int, int], params: CodeParams) -> int:
+def net_shift_of_interval(
+    E: ReadMatrix, interval: tuple[int, int], params: CodeParams, trace: Trace | None = None
+) -> int:
     """Insertions minus deletions inside the interval's source region.
 
     Probes ride windows strided one head distance apart in 4k+1 residue
     classes; within a residue each probe is the inter-row shift accumulated so
     far, the per-residue sums telescope to deletions-minus-insertions, and the
-    majority vote flips sign on return.
+    majority vote flips sign on return. A residue takes windows while they
+    start inside the interval and skips those that end past row 1; a window
+    that matched no shift or several counts k+1. ``trace`` counts those as
+    ``shift.fallbacks`` and receives one ``shift_vote`` event with the
+    per-residue sums.
     """
+    if trace is None:
+        trace = Trace()
     b1, b2 = interval
     row1, row2 = E.rows[0], E.rows[1]
-    if column_agreement(E.rows)[b1 - 1 : b2].all():
+    if column_agreement(E.rows[:, b1 - 1 : b2]).all():
         return 0
     k, T = params.k, params.T
     t = params.geometry.distances[0]
     stride = T + 4 * k + 1
-    sums: dict[int, int] = {}
+    residue = np.repeat(np.arange(4 * k + 1), (b2 - b1 + 1) // t + 2)
+    q = b1 + np.tile(np.arange((b2 - b1 + 1) // t + 2), 4 * k + 1) * t + residue * stride
+    a = q + stride + k  # probe window sits one stride later, shrunk by k
+    b = q + 2 * stride - k - 1
+    probed = (q - 1 <= b2) & (b <= len(row1))  # q grows within a residue, so this is its take-while
+    found = shift_table(row1, row2, a[probed], b[probed], range(-k, k + 1))
     sentinel = k + 1
-    for m in range(1, 4 * k + 2):
-        total = 0
-        for i in range(1, (b2 - b1 + 1) // t + 3):
-            q_im = b1 + (i - 1) * t + (m - 1) * stride
-            if q_im - 1 > b2:
-                break
-            a = q_im + stride + k  # probe window sits one stride later, shrunk by k
-            b = q_im + 2 * stride - k - 1
-            if b <= len(row1):
-                x = probe_shift(row1, row2, a, b, range(-k, k + 1))
-                total += x if x is not None else sentinel
-        sums[m] = total
-    return -majority(sums.values(), "net-shift")
+    if None in found:
+        trace.counters["shift.fallbacks"] += found.count(None)
+    votes = [sentinel if x is None else x for x in found]
+    sums = np.bincount(residue[probed], weights=votes, minlength=4 * k + 1).astype(np.int64).tolist()
+    trace.event("shift_vote", interval=interval, sums=sums)
+    return -majority(sums, "net-shift")
 
 
-def build_edit_report(E: ReadMatrix, params: CodeParams, total_shift: int) -> IntervalReport:
+def build_edit_report(
+    E: ReadMatrix, params: CodeParams, total_shift: int, trace: Trace | None = None
+) -> IntervalReport:
     """Intervals plus their net shifts.
 
     The probe vote is only guaranteed inside the period-capped prefix, so the
     trailing interval (which always reaches the last column and may cover
-    uncapped redundancy) gets the remainder of ``total_shift``.
+    uncapped redundancy) gets the remainder of ``total_shift``. ``trace``
+    receives what each net-shift vote records (see ``net_shift_of_interval``).
     """
     intervals = identify_edit_intervals(E, params)
     agree = column_agreement(E.rows)
@@ -82,7 +91,7 @@ def build_edit_report(E: ReadMatrix, params: CodeParams, total_shift: int) -> In
             shifts.append(total_shift - sum(shifts))
         else:
             try:
-                shifts.append(net_shift_of_interval(E, (b1, b2), params))
+                shifts.append(net_shift_of_interval(E, (b1, b2), params, trace))
             except MajorityTie:
                 if b2 <= params.n + params.k + 1:
                     raise
@@ -148,12 +157,11 @@ def head_reduction_recover(
                 return v, v + step_len - 1
 
         sentinel = k + 1
-        x = [[sentinel] * (n_probe + 1) for _ in range(d_cur - 1)]
+        x = []  # x[w-1][ell]: the shift of row pair (w, w+1) in window ell; index 0 unused
         for w in range(1, d_cur):
-            for ell in range(1, n_probe + 1):
-                a, b = window(w, ell)
-                got = probe_shift(rows[w - 1], rows[w], a, b, range(-k, k + 1))
-                x[w - 1][ell] = got if got is not None else sentinel
+            a, b = zip(*(window(w, ell) for ell in range(1, n_probe + 1)))
+            found = shift_table(rows[w - 1], rows[w], a, b, range(-k, k + 1))
+            x.append([sentinel] + [sentinel if got is None else got for got in found])
         z = [0] * (n_probe + 1)
         for ell in range(1, n_probe + 1):
             flag = 0

@@ -11,9 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rtcodec.bits import BitArray, as_bits, bits_from_int, int_from_bits
-from rtcodec.errors import HashRecoveryFailed, UnsupportedK
+from rtcodec.bits import BitArray, as_bits, bits_from_int, column_agreement, int_from_bits, majority
+from rtcodec.errors import HashRecoveryFailed, ReductionStuck, UnsupportedK
 from rtcodec.hashing import ColoringHasher, VtHasher
+from rtcodec.model import ReadMatrix
+from rtcodec.params import CodeParams
+from rtcodec.trace import Trace
 
 
 def bits_str(bits) -> str:
@@ -789,3 +792,205 @@ class ReferenceColoringHasher(ColoringHasher):
                     grown = nxt
                 out.update(v2 for ln2, v2 in grown if ln2 == m)
         return out
+
+
+# ---------------------------------------------------------------------------
+# the one-window shift probe and its three callers before the shift table
+# (``bits.shift_table``) served them, kept verbatim as oracles: the probe
+# loop, the net-shift vote, the deletion-count vote and head reduction
+
+
+def reference_probe_shift_loop(rowA: BitArray, rowB: BitArray, a: int, b: int, shifts) -> int | None:
+    """The unique x in ``shifts`` with rowA[a, b-x] == rowB[a+x, b].
+
+    1-based inclusive window [a, b]; a negative x compares rowA[a-x, b] with
+    rowB[a, b+x]. None when the window leaves rowA or is no longer than the
+    largest shift, and when no x or several x match.
+    """
+    if a < 1 or b > len(rowA) or b - a + 1 <= max(map(abs, shifts)):
+        return None
+    found = None
+    for x in shifts:
+        lo, hi = max(x, 0), max(-x, 0)
+        if np.array_equal(rowA[a - 1 + hi : b - lo], rowB[a - 1 + lo : b - hi]):
+            if found is not None:
+                return None
+            found = x
+    return found
+
+
+def reference_net_shift_of_interval(E: ReadMatrix, interval: tuple[int, int], params: CodeParams) -> int:
+    """Insertions minus deletions inside the interval's source region.
+
+    Probes ride windows strided one head distance apart in 4k+1 residue
+    classes; within a residue each probe is the inter-row shift accumulated so
+    far, the per-residue sums telescope to deletions-minus-insertions, and the
+    majority vote flips sign on return.
+    """
+    b1, b2 = interval
+    row1, row2 = E.rows[0], E.rows[1]
+    if column_agreement(E.rows)[b1 - 1 : b2].all():
+        return 0
+    k, T = params.k, params.T
+    t = params.geometry.distances[0]
+    stride = T + 4 * k + 1
+    sums: dict[int, int] = {}
+    sentinel = k + 1
+    for m in range(1, 4 * k + 2):
+        total = 0
+        for i in range(1, (b2 - b1 + 1) // t + 3):
+            q_im = b1 + (i - 1) * t + (m - 1) * stride
+            if q_im - 1 > b2:
+                break
+            a = q_im + stride + k  # probe window sits one stride later, shrunk by k
+            b = q_im + 2 * stride - k - 1
+            if b <= len(row1):
+                x = reference_probe_shift_loop(row1, row2, a, b, range(-k, k + 1))
+                total += x if x is not None else sentinel
+        sums[m] = total
+    return -majority(sums.values(), "net-shift")
+
+
+def reference_count_deletions_in_interval(
+    D: ReadMatrix,
+    interval: tuple[int, int],
+    params: CodeParams,
+    trace: Trace | None = None,
+) -> int:
+    """Deletions of head 1 inside the source interval behind a read interval.
+
+    Only the first two reads are used. Windows of length T+k+1 tile the
+    interval with stride t1 in 4k+1 residue classes; each window yields the
+    row-1/row-2 shift accumulated up to it, the per-residue sums telescope to
+    the count, and the majority over residues wins. ``trace`` counts
+    ``count.fallbacks`` (windows that matched no shift or several, read as 0)
+    and receives one ``count_vote`` event with the per-residue sums.
+    """
+    if trace is None:
+        trace = Trace()
+    b_min, b_max = interval
+    row1, row2 = D.rows[0], D.rows[1]
+    k, T = params.k, params.T
+    t1 = params.geometry.distances[0]
+    stride = T + 2 * k + 1
+    win = T + k + 1
+    sums: dict[int, int] = {m: 0 for m in range(1, 4 * k + 2)}
+    length = b_max - b_min + 1
+    for i in range(1, (length + t1 - 1) // t1 + 1):
+        for m in range(1, 4 * k + 2):
+            p = b_min + (i - 1) * t1 + (m - 1) * stride
+            q = p + win - 1  # untruncated end; window in the probe set only if it fits
+            if q > b_max:
+                continue
+            x_val = reference_probe_shift_loop(row1, row2, p, q, range(k + 1))
+            if x_val is None:
+                x_val = 0
+                trace.counters["count.fallbacks"] += 1
+            sums[m] += x_val
+    trace.event("count_vote", interval=interval, sums=list(sums.values()))
+    return majority(sums.values(), "count")
+
+
+def reference_head_reduction_recover(
+    segments: list[BitArray], params: CodeParams, trace: Trace | None = None
+) -> tuple[BitArray, int]:
+    """Iteratively merge heads until all remaining rows agree.
+
+    Returns (e, d_star): the surviving row and how many rows were left. When
+    the segment's error count is below the original head count, e equals the
+    source segment (flanks included). ``trace`` receives one
+    ``reduction_step`` event per pass that removed a row.
+    """
+    if trace is None:
+        trace = Trace()
+    k, T = params.k, params.T
+    t = params.geometry.distances[0]
+    step_len = T + 3 * k + 1
+    n_probe_right = (k * k + 3) // 4 + 3 * k
+    rows = [np.asarray(seg, dtype=np.uint8) for seg in segments]
+    while True:
+        d_cur = len(rows)
+        m_cur = len(rows[0])
+        stacked = np.stack(rows)
+        disagree = np.flatnonzero(~column_agreement(stacked))
+        if len(disagree) == 0:
+            return rows[0].copy(), d_cur
+        i_star = int(disagree[0]) + 1
+        col = stacked[:, i_star - 1]
+        ones = int(col.sum())
+        zeros = d_cur - ones
+        tie = ones == zeros
+        if tie:
+            w_star = 1
+        else:
+            minority = 1 if ones < zeros else 0
+            w_star = int(np.flatnonzero(col == minority)[0]) + 1
+        if w_star <= d_cur - 1:
+            direction = "right"
+            n_probe = n_probe_right
+
+            def window(w: int, ell: int) -> tuple[int, int]:
+                v = i_star + 2 * k + (ell - 1) * step_len + (w - w_star) * t
+                return v, v + step_len - 1
+        else:
+            direction = "left"
+            n_probe = n_probe_right + 2
+
+            def window(w: int, ell: int) -> tuple[int, int]:
+                v = i_star - T - 3 * k - ell * step_len + (w - w_star) * t
+                return v, v + step_len - 1
+
+        sentinel = k + 1
+        x = [[sentinel] * (n_probe + 1) for _ in range(d_cur - 1)]
+        for w in range(1, d_cur):
+            for ell in range(1, n_probe + 1):
+                a, b = window(w, ell)
+                got = reference_probe_shift_loop(rows[w - 1], rows[w], a, b, range(-k, k + 1))
+                x[w - 1][ell] = got if got is not None else sentinel
+        z = [0] * (n_probe + 1)
+        for ell in range(1, n_probe + 1):
+            flag = 0
+            for w in range(d_cur - 1):
+                prev = x[w][ell - 1] if ell > 1 else x[w][1]
+                cur = x[w][ell]
+                if cur == sentinel:
+                    flag = 1
+                elif prev != sentinel and cur != prev:
+                    flag = 1
+            z[ell] = flag
+        n_one_runs = sum(1 for ell in range(1, n_probe + 1) if z[ell] == 1 and (ell == 1 or z[ell - 1] == 0))
+        need = k - n_one_runs + 2
+        run_start = None
+        streak = 0
+        for ell in range(1, n_probe + 1):
+            streak = streak + 1 if z[ell] == 0 else 0
+            if streak >= need:
+                run_start = ell - need  # z[run_start+1 .. run_start+need] all zero
+                break
+        if run_start is None:
+            raise ReductionStuck(f"no zero run of length {need} among {n_probe} probes")
+        cuts = [x[w - 1][run_start + 1] for w in range(1, d_cur)]
+        if any(c == sentinel for c in cuts):
+            raise ReductionStuck("probe at the chosen run is undefined")
+        if len(set(cuts)) != 1:
+            raise ReductionStuck(f"inconsistent cut shifts {cuts}")
+        new_rows = []
+        for w in range(1, d_cur):
+            cut = window(w, run_start + 1)[0] + k  # k columns into the run's first window
+            shift = cuts[w - 1]
+            if not (0 <= cut <= m_cur and 0 <= cut - shift <= m_cur):
+                raise ReductionStuck(f"cut column {cut} outside the segment")
+            new_rows.append(np.concatenate([rows[w][:cut], rows[w - 1][cut - shift :]]))
+        if len({len(r) for r in new_rows}) != 1:
+            raise ReductionStuck("spliced rows disagree in length")
+        trace.event(
+            "reduction_step",
+            i_star=i_star,
+            w_star=w_star,
+            minority_tie=tie,
+            direction=direction,
+            run_start=run_start,
+            one_runs=n_one_runs,
+            cut_shift=cuts[0],
+        )
+        rows = new_rows

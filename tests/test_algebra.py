@@ -268,7 +268,7 @@ def test_rep_nearest_parse_merges_one_run_at_a_time():
     assert lengths.tolist() == [9, 1, 1, 5]  # the caller's runs are left as they were
 
 
-def same_outcome(y, fold: int, msg_len: int) -> str:
+def same_outcome(y, fold: int, msg_len: int, skip: int = 0) -> str:
     """Which path decoded y, after checking that rep_decode returns what the
     reference DP returns, or raises the same exception class."""
     trace = Trace()
@@ -276,9 +276,9 @@ def same_outcome(y, fold: int, msg_len: int) -> str:
         want = reference_rep_decode_dp(y, fold, msg_len)
     except MalformedRepetition:
         with pytest.raises(MalformedRepetition):
-            rep_decode(y, fold, msg_len, trace)
+            rep_decode(y, fold, msg_len, trace, skip)
         return "raised"
-    got = rep_decode(y, fold, msg_len, trace)
+    got = rep_decode(y, fold, msg_len, trace, skip)
     assert np.array_equal(got, want), (list(y), fold, msg_len)
     (path,) = trace.counters
     return path
@@ -337,6 +337,25 @@ def test_rep_decode_parses_agree_with_the_reference_dp():
             paths[same_outcome(random_edits(rng, cw, rng.randrange(fold + 2), True), fold, msg_len)] += 1
         for y, msg_len in planted_words(fold):
             paths[same_outcome(np.array(y, dtype=np.uint8), fold, msg_len)] += 1
+    assert all(paths.values()), paths
+
+
+def test_rep_skip_parse_agrees_with_the_reference_dp():
+    """With ``skip`` leading bits taken as insertions, rep_decode still gives
+    what the DP gives on the whole word: repetition words with up to fold-1
+    bits slid in front and more edits after them, each tried with the true
+    lead and with a random one."""
+    paths = {"rep.parse_up": 0, "rep.parse_nearest": 0, "rep.parse_skip": 0, "rep.dp": 0, "raised": 0}
+    rng = random.Random(2042)
+    for fold in range(2, 7):
+        for _ in range(100):
+            msg_len = rng.randrange(1, 30)
+            cw = rep_encode([rng.randrange(2) for _ in range(msg_len)], fold)
+            lead = rng.randrange(1, fold)
+            slid = np.array([rng.randrange(2) for _ in range(lead)], dtype=np.uint8)
+            y = np.concatenate([slid, random_edits(rng, cw, rng.randrange(fold - lead + 2), True)])
+            for skip in (lead, rng.randrange(1, fold)):
+                paths[same_outcome(y, fold, msg_len, skip)] += 1
     assert all(paths.values()), paths
 
 

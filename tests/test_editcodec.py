@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 
+from rtcodec.algebra import rep_decode
+from rtcodec.bits import majority
 from rtcodec.editcodec import decode_edits, edit_layout, encode_edits
 from rtcodec.errors import DecodeFailure, ParamViolation
 from rtcodec.model import BitTrack, EditPattern, apply_edits, sample_edit_pattern
@@ -191,3 +193,49 @@ def test_trace_stages_and_events(k, d, regime):
         assert any(c["ok"] for c in choices)
     doc = trace.to_dict()
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_shift_votes_are_traced():
+    """One ``shift_vote`` per interval whose net shift was voted, its
+    majority the interval's shift; sentinel windows count as ``shift.fallbacks``."""
+    params = CodeParams.edit(1024, 4, 2)
+    rng = random.Random(44)
+    votes_seen = 0
+    for _ in range(10):
+        msg = BitTrack([rng.randrange(2) for _ in range(1024)])
+        cw = BitTrack(encode_edits(msg, params))
+        E = apply_edits(cw, sample_edit_pattern(rng, 1029, 4, params.geometry), params.geometry)
+        trace = Trace()
+        assert np.array_equal(decode_edits(E, params, trace), msg.bits)
+        shifts = {tuple(ev["read_span"]): ev["shift"] for ev in of_kind(trace, "interval")}
+        agree = (E.rows == E.rows[0]).all(axis=0)
+        voted = [span for span in shifts if span[1] != E.cols and not agree[span[0] - 1 : span[1]].all()]
+        votes = of_kind(trace, "shift_vote")
+        assert [tuple(v["interval"]) for v in votes] == voted
+        for v in votes:
+            assert len(v["sums"]) == 4 * params.k + 1
+            assert -majority(v["sums"], "net-shift") == shifts[tuple(v["interval"])]
+        assert (trace.counters["shift.fallbacks"] > 0) <= bool(votes)
+        votes_seen += len(votes)
+    assert votes_seen
+
+
+def test_sigma_bits_in_front_of_r2_skip_the_dp():
+    """Four insertions in the capped track put four of R1's last bits in front
+    of R2. The two run parses of the whole R2 read fail and the DP would run;
+    the parse of the read past those bits is exactly R2, so it is certified."""
+    params = CodeParams.edit(1024, 4, 2)
+    rng = np.random.default_rng(2026)
+    for _ in range(1065):
+        msg = rng.integers(0, 2, 1024, dtype=np.uint8)
+    pattern = EditPattern((), (85, 120, 210, 227), ((1, 1, 0, 0), (0, 0, 0, 0)))
+    cw = encode_edits(BitTrack(msg), params)
+    E = apply_edits(BitTrack(cw), pattern, params.geometry)
+    trace = Trace()
+    assert np.array_equal(decode_edits(E, params, trace), msg)
+    assert trace.counters["rep.parse_skip"] == 1 and trace.counters["rep.dp"] == 0, dict(trace.counters)
+    # the bootstrap's R2 decode as it read before the skip
+    layout, row1, old = edit_layout(params), E.rows[0], Trace()
+    rep_decode(row1[layout.total - layout.n2 :], params.k + 1, msg_len=layout.n1, trace=old)
+    assert dict(old.counters) == {"rep.dp": 1}
+    assert np.array_equal(row1[layout.total - layout.n2 + 4 :], cw[layout.total - layout.n2 :])

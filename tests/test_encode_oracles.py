@@ -1,8 +1,8 @@
 """Byte-identity of the vectorised encode path (and the vectorised
 agreement-run scan of the decoders) against the per-position reference
 implementations in ``helpers``, on a seeded corpus; and of the shared
-read-synchronization report and shift probe against the separate deletion
-and edit versions they replaced."""
+read-synchronization report and shift table against the separate deletion
+and edit probes they replaced."""
 
 import random
 
@@ -15,7 +15,7 @@ from rtcodec.bits import (
     bits_from_int,
     format_track,
     parse_track,
-    probe_shift,
+    shift_table,
 )
 from rtcodec.delcodec import encode_deletions
 from rtcodec.delsync import build_report
@@ -56,6 +56,7 @@ from helpers import (
     reference_parity_groups_rs,
     reference_parse_track,
     reference_probe_shift,
+    reference_probe_shift_loop,
     reference_recover_outside_bits,
     reference_source_end,
     sample_deletions,
@@ -295,13 +296,14 @@ def test_sync_reports_match_old_reports_on_synthetic_reports():
 
 
 def test_probe_shift_matches_old_probes():
-    """Random windows, guard-hitting ones included (a < 1, b > len, length <= k).
+    """The shift table against the one-window probes it replaced, on random
+    windows, guard-hitting ones included (a < 1, b > len, length <= k).
 
     The deletion probe had no guard: the count loop only forms windows inside
     the row and longer than k, so only those are compared with it.
     """
     rng = np.random.default_rng(20234)
-    for _ in range(4000):
+    for _ in range(1000):
         k = int(rng.integers(1, 5))
         n = int(rng.integers(1, 60))
         # low-entropy rows so that several shifts often match
@@ -312,10 +314,15 @@ def test_probe_shift_matches_old_probes():
         rowB = np.roll(rowA, x)
         flips = rng.integers(0, n, int(rng.integers(0, 3)))
         rowB[flips] ^= 1
-        a = int(rng.integers(-1, n + 1))
-        b = int(rng.integers(a - 1, n + 2))
-        got = probe_shift(rowA, rowB, a, b, range(-k, k + 1))
-        assert got == reference_probe_shift(rowA, rowB, a, b, k), (k, a, b)
-        if a >= 1 and b <= n and b - a + 1 > k:
-            x_val, matches = reference_count_probe(rowA, rowB, a, b, k)
-            assert probe_shift(rowA, rowB, a, b, range(k + 1)) == (x_val if matches == 1 else None)
+        a = rng.integers(-1, n + 1, 4)
+        b = a - 1 + rng.integers(0, n + 3 - a)
+        windows = list(zip(a.tolist(), b.tolist()))
+        got = shift_table(rowA, rowB, a, b, range(-k, k + 1))
+        assert got == [reference_probe_shift(rowA, rowB, p, q, k) for p, q in windows], (k, windows)
+        assert got == [reference_probe_shift_loop(rowA, rowB, p, q, range(-k, k + 1)) for p, q in windows]
+        inside = [(p, q) for p, q in windows if p >= 1 and q <= n and q - p + 1 > k]
+        if inside:
+            want = [reference_count_probe(rowA, rowB, p, q, k) for p, q in inside]
+            assert shift_table(rowA, rowB, *zip(*inside), range(k + 1)) == [
+                x_val if matches == 1 else None for x_val, matches in want
+            ]
