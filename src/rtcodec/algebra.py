@@ -212,31 +212,37 @@ def _rep_run_parse(values: BitArray, lengths: np.ndarray, fold: int, bias: int) 
     return np.repeat(values, copies), edits
 
 
-def rep_decode(y, fold: int, msg_len: int, trace: Trace | None = None, skip: int = 0) -> BitArray:
+def rep_decode(y, fold: int, msg_len: int, trace: Trace | None = None) -> BitArray:
     """Decode a repetition word corrupted by at most fold-1 deletions/insertions.
 
-    Two run parses come first, rounding each run up and then to the nearest
-    symbol count. A parse is an edit script turning y into its repetition, and
+    Run parses come first, rounding each run up (on a word no longer than its
+    repetition) and then to the nearest symbol count. A parse is an edit script turning y into its repetition, and
     two repetition words of one length are at least 2*fold edits apart, so a
     parse of ``msg_len`` symbols within fold-1 edits is the one message the DP
-    would return. When ``skip`` leading bits of y may be inserted ones, both
-    parses are then tried on y[skip:], with ``skip`` deletions added to their
-    edits. Other inputs go to a banded DP over (symbols consumed, drift).
-    ``trace`` counts the path taken: ``rep.parse_up``, ``rep.parse_nearest``,
+    would return. When y is longer than its repetition, its extra leading bits
+    may be insertions (bits slid in from before the word), so the nearest
+    parse is then tried past them, with those deletions added to its edits.
+    Other inputs go to a banded DP over (symbols consumed, drift). ``trace``
+    counts the path taken: ``rep.parse_up``, ``rep.parse_nearest``,
     ``rep.parse_skip`` or ``rep.dp``.
     """
     y = as_bits(y)
-    for lead in (0, skip) if skip else (0,):
+    extra = len(y) - fold * msg_len
+    # rounding up reads at least len/fold symbols, too many from a word longer
+    # than its repetition; past such a word's extra bits it would parse only a
+    # clean repetition, which the nearest parse reads too
+    up = ((fold - 1, "rep.parse_up"),) if extra <= 0 else ()
+    for lead in (0, extra) if extra > 0 else (0,):
         z = y[lead:]
         boundary = np.ones(len(z) + 1, dtype=bool)  # where a run starts or z ends
         boundary[1:-1] = z[1:] != z[:-1]
         edges = np.flatnonzero(boundary)
         values, lengths = z[edges[:-1]], np.diff(edges)
-        for bias, path in ((fold - 1, "rep.parse_up"), (fold // 2, "rep.parse_nearest")):
+        for bias, path in (*up, (fold // 2, "rep.parse_skip" if lead else "rep.parse_nearest")):
             parsed, edits = _rep_run_parse(values, lengths, fold, bias)
             if lead + edits < fold and len(parsed) == msg_len:
                 if trace is not None:
-                    trace.counters["rep.parse_skip" if lead else path] += 1
+                    trace.counters[path] += 1
                 return parsed
     if trace is not None:
         trace.counters["rep.dp"] += 1

@@ -107,9 +107,7 @@ def bootstrap(reads: ReadMatrix, params: CodeParams, kind: str, trace: Trace | N
     if not layout.n1:
         return Bootstrap(layout, row1, sigma, [], as_bits([]))
     try:
-        # a read that gained sigma bits may carry that many of R1's last bits in front of R2
-        r2 = row1[layout.total - layout.n2 :]
-        r1 = rep_decode(r2, params.k + 1, msg_len=layout.n1, trace=trace, skip=max(sigma, 0))
+        r1 = rep_decode(row1[layout.total - layout.n2 :], params.k + 1, msg_len=layout.n1, trace=trace)
     except RtCodecError as e:
         raise DecodeFailure("rep", str(e)) from e
     # R1's own read must agree with R2's copy, as the k edits allow

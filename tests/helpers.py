@@ -378,8 +378,9 @@ def reference_oddeven_parity(symbols) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# reference repetition decoders: the run parse as a loop over runs, and the
-# numpy DP, kept as oracles for the vectorised parse and the plain DP
+# reference repetition decoders: the run parse as a loop over runs, the
+# decoder before its skip parse, and the numpy DP, kept as oracles for the
+# vectorised parse and the plain DP
 
 
 def reference_rep_run_parse(y, fold: int):
@@ -401,6 +402,27 @@ def reference_rep_run_parse(y, fold: int):
     if deficit > fold - 1:
         return None
     return np.array(msg, dtype=np.uint8), deficit
+
+
+def reference_rep_decode_unskipped(y, fold: int, msg_len: int, trace: Trace | None = None) -> BitArray:
+    """``rep_decode`` before it tried the parses past a longer word's extra
+    leading bits, kept verbatim: both run parses of the whole word, then the DP."""
+    from rtcodec.algebra import _rep_decode_dp, _rep_run_parse
+
+    y = as_bits(y)
+    boundary = np.ones(len(y) + 1, dtype=bool)  # where a run starts or y ends
+    boundary[1:-1] = y[1:] != y[:-1]
+    edges = np.flatnonzero(boundary)
+    values, lengths = y[edges[:-1]], np.diff(edges)
+    for bias, path in ((fold - 1, "rep.parse_up"), (fold // 2, "rep.parse_nearest")):
+        parsed, edits = _rep_run_parse(values, lengths, fold, bias)
+        if edits < fold and len(parsed) == msg_len:
+            if trace is not None:
+                trace.counters[path] += 1
+            return parsed
+    if trace is not None:
+        trace.counters["rep.dp"] += 1
+    return _rep_decode_dp(y, fold, msg_len)
 
 
 def reference_rep_decode_dp(y, fold: int, msg_len: int) -> np.ndarray:

@@ -268,7 +268,7 @@ def test_rep_nearest_parse_merges_one_run_at_a_time():
     assert lengths.tolist() == [9, 1, 1, 5]  # the caller's runs are left as they were
 
 
-def same_outcome(y, fold: int, msg_len: int, skip: int = 0) -> str:
+def same_outcome(y, fold: int, msg_len: int) -> str:
     """Which path decoded y, after checking that rep_decode returns what the
     reference DP returns, or raises the same exception class."""
     trace = Trace()
@@ -276,9 +276,9 @@ def same_outcome(y, fold: int, msg_len: int, skip: int = 0) -> str:
         want = reference_rep_decode_dp(y, fold, msg_len)
     except MalformedRepetition:
         with pytest.raises(MalformedRepetition):
-            rep_decode(y, fold, msg_len, trace, skip)
+            rep_decode(y, fold, msg_len, trace)
         return "raised"
-    got = rep_decode(y, fold, msg_len, trace, skip)
+    got = rep_decode(y, fold, msg_len, trace)
     assert np.array_equal(got, want), (list(y), fold, msg_len)
     (path,) = trace.counters
     return path
@@ -319,7 +319,7 @@ def test_rep_decode_parses_agree_with_the_reference_dp():
     balls taken one edit past the budget, seeded random words, and planted
     shapes (an opposite bit at every offset of a run, insertions at run
     boundaries, slid prefix bits)."""
-    paths = {"rep.parse_up": 0, "rep.parse_nearest": 0, "rep.dp": 0, "raised": 0}
+    paths = {"rep.parse_up": 0, "rep.parse_nearest": 0, "rep.parse_skip": 0, "rep.dp": 0, "raised": 0}
     for fold, max_len in ((2, 6), (3, 4), (4, 2)):
         for length in range(1, max_len + 1):
             ball = set()
@@ -341,21 +341,20 @@ def test_rep_decode_parses_agree_with_the_reference_dp():
 
 
 def test_rep_skip_parse_agrees_with_the_reference_dp():
-    """With ``skip`` leading bits taken as insertions, rep_decode still gives
-    what the DP gives on the whole word: repetition words with up to fold-1
-    bits slid in front and more edits after them, each tried with the true
-    lead and with a random one."""
+    """A word longer than its repetition is also parsed past its extra leading
+    bits, and rep_decode still gives what the DP gives on the whole word:
+    repetition words with up to fold-1 bits slid in front and more edits after
+    them, so the extra bits are the slid ones or not."""
     paths = {"rep.parse_up": 0, "rep.parse_nearest": 0, "rep.parse_skip": 0, "rep.dp": 0, "raised": 0}
     rng = random.Random(2042)
     for fold in range(2, 7):
-        for _ in range(100):
+        for _ in range(200):
             msg_len = rng.randrange(1, 30)
             cw = rep_encode([rng.randrange(2) for _ in range(msg_len)], fold)
             lead = rng.randrange(1, fold)
             slid = np.array([rng.randrange(2) for _ in range(lead)], dtype=np.uint8)
             y = np.concatenate([slid, random_edits(rng, cw, rng.randrange(fold - lead + 2), True)])
-            for skip in (lead, rng.randrange(1, fold)):
-                paths[same_outcome(y, fold, msg_len, skip)] += 1
+            paths[same_outcome(y, fold, msg_len)] += 1
     assert all(paths.values()), paths
 
 

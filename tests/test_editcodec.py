@@ -6,7 +6,6 @@ import random
 import numpy as np
 import pytest
 
-from rtcodec.algebra import rep_decode
 from rtcodec.bits import majority
 from rtcodec.editcodec import decode_edits, edit_layout, encode_edits
 from rtcodec.errors import DecodeFailure, ParamViolation
@@ -15,7 +14,7 @@ from rtcodec.params import CodeParams
 from rtcodec.periodicity import cap_periods
 from rtcodec.trace import Trace
 
-from helpers import cluster_interval_assignment, edit_clusters, of_kind
+from helpers import cluster_interval_assignment, edit_clusters, of_kind, reference_rep_decode_unskipped
 
 
 def roundtrip(params, msg, pattern, **kw):
@@ -234,8 +233,8 @@ def test_sigma_bits_in_front_of_r2_skip_the_dp():
     trace = Trace()
     assert np.array_equal(decode_edits(E, params, trace), msg)
     assert trace.counters["rep.parse_skip"] == 1 and trace.counters["rep.dp"] == 0, dict(trace.counters)
-    # the bootstrap's R2 decode as it read before the skip
+    # the bootstrap's R2 decode as it read before the skip parse
     layout, row1, old = edit_layout(params), E.rows[0], Trace()
-    rep_decode(row1[layout.total - layout.n2 :], params.k + 1, msg_len=layout.n1, trace=old)
+    reference_rep_decode_unskipped(row1[layout.total - layout.n2 :], params.k + 1, layout.n1, old)
     assert dict(old.counters) == {"rep.dp": 1}
     assert np.array_equal(row1[layout.total - layout.n2 + 4 :], cw[layout.total - layout.n2 :])

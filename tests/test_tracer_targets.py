@@ -1,15 +1,20 @@
-"""Every function the benchmark's span recorder wraps still exists.
+"""Every function and hasher method the benchmark's span recorder should wrap
+is wrapped.
 
-``perfbench/tracer.py`` skips a target it cannot find, so a renamed or
-removed function would make its layer read 0 without an error. This test
-only reads the recorder's tables; it changes nothing under ``perfbench/``.
+``perfbench/tracer.py`` skips a function it cannot find, and wraps a hasher
+method only on a class that defines it itself, so a renamed function or a
+method moved to the base class makes its layer read 0 without an error. This
+test installs the recorder and reads what it patched; it changes nothing under
+``perfbench/``.
 """
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
-from rtcodec.hashing import DeletionHasher
+import rtcodec
+from rtcodec.params import CodeParams
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -21,13 +26,35 @@ def load_tracer():
     return module
 
 
-def test_wrapped_functions_and_methods_resolve():
-    tracer = load_tracer()
-    targets = {target for targets in tracer.FUNCTION_LAYERS.values() for target in targets} | set(tracer.RESULT_HOOKS)
-    missing = [
-        f"{module}.{attr}"
-        for module, attr in sorted(targets)
-        if not callable(getattr(importlib.import_module(f"rtcodec.{module}"), attr, None))
-    ]
-    missing += [f"DeletionHasher.{m}" for m in tracer.METHOD_LAYERS if not callable(getattr(DeletionHasher, m, None))]
+def patched_targets(tracer_module) -> tuple[set, set]:
+    """(module, function) pairs and (class, method) pairs the recorder wrapped."""
+    for info in pkgutil.iter_modules(rtcodec.__path__):
+        importlib.import_module(f"rtcodec.{info.name}")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patched)
+    finally:
+        tracer.uninstall()
+    functions = {(owner.__name__.removeprefix("rtcodec."), key) for owner, key, _ in patched if not isinstance(owner, type)}
+    methods = {(owner, key) for owner, key, _ in patched if isinstance(owner, type)}
+    return functions, methods
+
+
+def test_every_wrapped_function_is_patched():
+    tracer_module = load_tracer()
+    functions, _ = patched_targets(tracer_module)
+    targets = {t for targets in tracer_module.FUNCTION_LAYERS.values() for t in targets} | set(tracer_module.RESULT_HOOKS)
+    missing = sorted(t for t in targets if t not in functions)
     assert not missing, f"the span recorder wraps names rtcodec no longer has: {missing}"
+
+
+def test_the_benchmark_hashers_methods_are_patched():
+    """Both benchmark workloads hash with the default of CodeParams.deletion
+    and CodeParams.edit (the CLI's ``--hash`` has the same default); its
+    ``hash`` and ``recover`` calls must each land in a layer."""
+    tracer_module = load_tracer()
+    _, methods = patched_targets(tracer_module)
+    hashers = {type(CodeParams.deletion(4096, 4, 2).hasher()), type(CodeParams.edit(1024, 4, 2).hasher())}
+    missing = sorted(f"{cls.__name__}.{m}" for cls in hashers for m in tracer_module.METHOD_LAYERS if (cls, m) not in methods)
+    assert not missing, f"the span recorder does not reach: {missing}"
