@@ -1,5 +1,6 @@
 """Classical sub-codes: systematic Reed-Solomon (lane-parallel parity, an
-errors-and-erasures decoder) and the (k+1)-fold repetition code with an exact
+errors-and-erasures decoder, and its lane-batched form for lanes that share
+their erasures) and the (k+1)-fold repetition code with an exact
 mixed-edit decoder. The odd/even pair parity runs lane-wise in ``layout``.
 
 Field elements are plain ints inside GF(2^w).
@@ -49,17 +50,12 @@ def rs_parity_lanes(messages: np.ndarray, redundancy: int, width: int = 8) -> np
     rem = np.zeros((lanes, redundancy), dtype=np.int64)
     if redundancy == 0:
         return rem.T
-    exp, log = gf.exp_array, gf.log_array
     gen = np.array(rs_generator_poly(width, redundancy)[1:], dtype=np.int64)
-    gen_log, gen_zero = log[gen], gen == 0
     for symbols in messages:
         coef = symbols ^ rem[:, 0]
         rem[:, :-1] = rem[:, 1:]
         rem[:, -1] = 0
-        term = exp[log[coef][:, None] + gen_log]
-        term[coef == 0] = 0
-        term[:, gen_zero] = 0
-        rem ^= term
+        rem ^= gf.mul_array(coef[:, None], gen)
     return rem.T
 
 
@@ -155,6 +151,66 @@ def rs_decode_errors_erasures(
     if any(_syndromes(gf, cw, redundancy)):
         raise DecodeFailure("rs", "correction failed the syndrome check")
     return cw
+
+
+def _gf_matmul(gf: GF, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix product over the field of ``a`` (rows, inner) and ``x`` (inner, lanes)."""
+    return np.bitwise_xor.reduce(gf.mul_array(a[:, :, None], x[None, :, :]), axis=1)
+
+
+def rs_decode_lanes(
+    words: np.ndarray, erasures: list[int], redundancy: int, width: int = 8, trace: Trace | None = None
+) -> np.ndarray:
+    """``rs_decode_errors_erasures`` on every column of ``words`` (shape (length, lanes)).
+
+    All lanes share the distinct ``erasures`` positions. Each lane's syndromes
+    come from one product over all lanes. A lane whose Forney syndromes past
+    the erasure count vanish has errors at the erasures only: its erased
+    symbols are one fixed linear map of those syndromes (Forney's formula),
+    applied to all such lanes at once and then checked by their syndromes.
+    Only the other lanes run the scalar decoder, in lane order, so the first
+    of them to fail raises; ``trace`` counts them as ``rs.scalar_lanes``.
+    Returns the corrected words.
+    """
+    gf = GF.get(width)
+    if len(erasures) > redundancy:
+        raise TooManyErasures(f"{len(erasures)} erasures exceed parity {redundancy}")
+    if trace is None:
+        trace = Trace()
+    n, f = len(words), len(erasures)
+    locators = [gf.exp[(n - 1 - p) % gf.charac] for p in erasures]
+    rows = np.array(erasures, dtype=np.intp)
+    out = words.copy()
+    out[rows] = 0
+    # syndrome j of a lane is its polynomial, highest degree first, at alpha^j
+    powers = gf.exp_array[np.outer(np.arange(redundancy), np.arange(n - 1, -1, -1)) % gf.charac]
+    synd = _gf_matmul(gf, powers, out)
+    loc = [1]
+    for x in locators:
+        loc = gf.poly_mul(loc, [1, x])
+    # Forney syndromes: the syndromes times the erasure locator, mod x^redundancy
+    toeplitz = np.zeros((redundancy, redundancy), dtype=np.int64)
+    for t, c in enumerate(loc):
+        toeplitz[np.arange(t, redundancy), np.arange(redundancy - t)] = c
+    fsynd = _gf_matmul(gf, toeplitz, synd)
+    forney = np.zeros((f, redundancy), dtype=np.int64)
+    for row, x in enumerate(locators):
+        x_inv = gf.inv(x)
+        den = 0
+        for j in range(1, len(loc), 2):
+            den ^= gf.mul(loc[j], gf.pow(x_inv, j - 1))
+        scale = gf.div(x, den)  # den != 0: the locators are distinct
+        forney[row] = [gf.mul(scale, gf.pow(x_inv, i)) for i in range(redundancy)]
+    has_errors = fsynd[f:].any(axis=0)
+    batch = np.flatnonzero(~has_errors)
+    out[np.ix_(rows, batch)] = _gf_matmul(gf, forney, fsynd[:, batch])
+    # a lane that fails the syndrome check goes to the scalar decoder, which raises
+    has_errors[batch] = _gf_matmul(gf, powers, out[:, batch]).any(axis=0)
+    scalar = np.flatnonzero(has_errors)
+    trace.counters["rs.scalar_lanes"] += len(scalar)
+    for lane in scalar:
+        out[:, lane] = rs_decode_errors_erasures(words[:, lane].tolist(), erasures, redundancy, width)
+    return out
 
 
 # ---------------------------------------------------------------------------

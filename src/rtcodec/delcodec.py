@@ -92,6 +92,6 @@ def decode_deletions(D: ReadMatrix, params: CodeParams, trace: Trace | None = No
     with trace.stage("restore"):
         trace.event("heavy", blocks=sorted(heavy))
         if heavy:
-            est, _ = restore_blocks(est, sorted(heavy), boot.parity, layout, params, boot.row1, boot.sigma, 0)
+            est, _ = restore_blocks(est, sorted(heavy), boot.parity, layout, params, boot.row1, boot.sigma, 0, trace)
     with trace.stage("finish"):
         return finish(est, boot.tail, D, params)

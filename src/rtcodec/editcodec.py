@@ -148,7 +148,7 @@ def _decode_with_choices(est0, outcomes, boot: Bootstrap, params, E, trace: Trac
         chosen = tuple(sorted(set(forced) | set(extra)))
         budget = sum(oc.budget_term(params.d, j in chosen) for j, oc in enumerate(outcomes))
         try:
-            out, substituted = _try_choice(chosen, budget, est0, outcomes, boot, params, E)
+            out, substituted = _try_choice(chosen, budget, est0, outcomes, boot, params, E, trace)
         except RtCodecError as e:
             last_error = str(e)
             stage = getattr(e, "stage", type(e).__name__)
@@ -163,7 +163,7 @@ def _decode_with_choices(est0, outcomes, boot: Bootstrap, params, E, trace: Trac
     return accepted[0]
 
 
-def _try_choice(chosen, budget, est0, outcomes, boot: Bootstrap, params, E) -> tuple[BitArray, list[int]]:
+def _try_choice(chosen, budget, est0, outcomes, boot: Bootstrap, params, E, trace: Trace) -> tuple[BitArray, list[int]]:
     """Erase the blocks of the distrusted intervals, splice the trusted estimates."""
     d, k = params.d, params.k
     layout = boot.layout
@@ -182,6 +182,6 @@ def _try_choice(chosen, budget, est0, outcomes, boot: Bootstrap, params, E) -> t
     # the errors the choice leaves unaccounted for can substitute whole blocks
     max_subs = 2 * ((k - budget) // (2 * d))
     est, substituted = restore_blocks(
-        est, sorted(erased), boot.parity, layout, params, boot.row1, boot.sigma, max_subs
+        est, sorted(erased), boot.parity, layout, params, boot.row1, boot.sigma, max_subs, trace
     )
     return finish(est, boot.tail, E, params), substituted

@@ -30,9 +30,13 @@ class GF:
                 x ^= poly
         for i in range(self.charac, 2 * self.charac):
             self.exp[i] = self.exp[i - self.charac]
-        # the same tables as arrays, for lookups over whole arrays
-        self.exp_array = np.array(self.exp, dtype=np.int64)
+        # the same tables as arrays, for lookups over whole arrays; log 0 is
+        # 2*charac, past every sum of two true logs, and exp is 0 from there
+        # on, so a product with a zero factor looks up 0
         self.log_array = np.array(self.log, dtype=np.int64)
+        self.log_array[0] = 2 * self.charac
+        self.exp_array = np.zeros(4 * self.charac + 1, dtype=np.int64)
+        self.exp_array[: 2 * self.charac] = self.exp
 
     @classmethod
     def get(cls, width: int) -> "GF":
@@ -44,6 +48,10 @@ class GF:
         if a == 0 or b == 0:
             return 0
         return self.exp[self.log[a] + self.log[b]]
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise product of two broadcastable int arrays of field elements."""
+        return self.exp_array[self.log_array[a] + self.log_array[b]]
 
     def div(self, a: int, b: int) -> int:
         if b == 0:

@@ -132,6 +132,7 @@ def restore_blocks(
     row1: BitArray,
     sigma: int,
     max_subs: int,
+    trace: Trace | None = None,
 ) -> tuple[BitArray, list[int]]:
     """Restore the hashes of the sorted ``erased`` blocks and re-pin those blocks.
 
@@ -140,7 +141,8 @@ def restore_blocks(
     count and also corrects up to ``max_subs`` blocks whose estimate was wrong
     (as far as the parity left over reaches). Each erased or substituted block
     is then recovered from its hash and its window of the head-1 read.
-    Returns the new estimate and the substituted block indices.
+    Returns the new estimate and the substituted block indices. ``trace``
+    counts the RS lanes that needed the scalar decoder (``rs.scalar_lanes``).
     """
     hasher = params.hasher()
     block_groups: list[list[int] | None] = []
@@ -156,8 +158,8 @@ def restore_blocks(
         if params.regime == "pair":
             restored, substituted = restore_pair(block_groups, parity, layout), []
         else:
-            max_subs = min(max_subs, (layout.parity_groups - len(erased)) // 2)
-            restored, substituted = restore_rs(block_groups, parity, layout, max_errors=max_subs)
+            max_subs = max(0, min(max_subs, (layout.parity_groups - len(erased)) // 2))
+            restored, substituted = restore_rs(block_groups, parity, layout, max_subs, trace)
     except RtCodecError as e:
         raise DecodeFailure("erasure", str(e)) from e
     out = est.copy()

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitArray, as_bits, bits_from_int
-from .algebra import rs_decode_errors_erasures, rs_parity_lanes
+from .algebra import rs_decode_lanes, rs_parity_lanes
 from .errors import ParamViolation, ParityMismatch, TooManyErasures
 from .hashing import block_bounds
 from .params import CodeParams
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -177,25 +178,23 @@ def restore_rs(
     parity: list[list[int]],
     layout: Layout,
     max_errors: int = 0,
+    trace: Trace | None = None,
 ) -> tuple[list[list[int]], list[int]]:
-    """Erasure (+ optionally error) decode lane by lane.
+    """Erasure (+ optionally error) decode of all lanes at once (``rs_decode_lanes``).
 
     Returns (restored block groups, sorted block indices where a substitution
-    was corrected). Raises DecodeFailure if any lane fails and ParityMismatch
-    if the corrected block count exceeds ``max_errors``.
+    was corrected). Raises TooManyErasures past the parity, DecodeFailure if
+    any lane fails and ParityMismatch if the corrected block count exceeds
+    ``max_errors``. ``trace`` counts the lanes that needed the scalar decoder.
     """
-    r = layout.parity_groups
+    r, g = layout.parity_groups, layout.group_symbols
     erased = [i for i, grp in enumerate(block_groups) if grp is None]
-    corrected: set[int] = set()
-    out = [list(grp) if grp is not None else [0] * layout.group_symbols for grp in block_groups]
-    for lane in range(layout.group_symbols):
-        symbols = [grp[lane] for grp in out] + [parity[j][lane] for j in range(r)]
-        fixed = rs_decode_errors_erasures(symbols, erased, r, layout.symbol_bits)
-        for i, grp in enumerate(out):
-            if fixed[i] != grp[lane]:
-                corrected.add(i)
-                grp[lane] = fixed[i]
-    corrected.difference_update(erased)
+    blocks = _lanes([[0] * g if grp is None else grp for grp in block_groups], layout)
+    words = np.concatenate([blocks, np.array(parity[:r], dtype=np.int64).reshape(r, g)])
+    fixed = rs_decode_lanes(words, erased, r, layout.symbol_bits, trace)[: len(blocks)]
+    changed = (fixed != blocks).any(axis=1)
+    changed[erased] = False
+    corrected = np.flatnonzero(changed).tolist()
     if len(corrected) > max_errors:
         raise ParityMismatch(f"{len(corrected)} substituted blocks exceed budget {max_errors}")
-    return out, sorted(corrected)
+    return fixed.tolist(), corrected

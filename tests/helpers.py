@@ -517,6 +517,28 @@ def pair_restore(word, parity: tuple[int, int]) -> list[int]:
     return [grp[0] for grp in restore_pair(groups, [[parity[0]], [parity[1]]], one_lane_layout())]
 
 
+def reference_restore_rs(block_groups, parity, layout, max_errors: int = 0):
+    """``layout.restore_rs`` before the lanes were batched: one scalar decode per lane."""
+    from rtcodec.algebra import rs_decode_errors_erasures
+    from rtcodec.errors import ParityMismatch
+
+    r = layout.parity_groups
+    erased = [i for i, grp in enumerate(block_groups) if grp is None]
+    corrected: set[int] = set()
+    out = [list(grp) if grp is not None else [0] * layout.group_symbols for grp in block_groups]
+    for lane in range(layout.group_symbols):
+        symbols = [grp[lane] for grp in out] + [parity[j][lane] for j in range(r)]
+        fixed = rs_decode_errors_erasures(symbols, erased, r, layout.symbol_bits)
+        for i, grp in enumerate(out):
+            if fixed[i] != grp[lane]:
+                corrected.add(i)
+                grp[lane] = fixed[i]
+    corrected.difference_update(erased)
+    if len(corrected) > max_errors:
+        raise ParityMismatch(f"{len(corrected)} substituted blocks exceed budget {max_errors}")
+    return out, sorted(corrected)
+
+
 # ---------------------------------------------------------------------------
 # the two read-synchronization reports before they merged into
 # ``bits.IntervalReport`` (deletion counts with a prefix-count fill, edit

@@ -28,6 +28,11 @@ CASES = {
         lambda: CodeParams.deletion(4096, 4, 2),
         "efd40f0bce4721cc8cfb24340e0ce8c7918013eacfca1b5f9189ca91a118b732",
     ),
+    # two blocks, so its restores erase one block or both
+    "deletion-rs-multiblock": (
+        lambda: CodeParams.deletion(16384, 4, 2),
+        "0bcab820b72c8726e6b0928cbc147af27428415fd0b7943ef3e69e4b33dec1fd",
+    ),
     "edit-direct": (
         lambda: CodeParams.edit(1024, 1, 2),
         "f504baf272bb2aea29113b92cddb50f0383ffd4fee594364fcd93e18e2725e05",
