@@ -106,23 +106,23 @@ def unmarked_intervals(rows: np.ndarray, margin: int, min_run: int, last: int) -
     starts at or before column ``last`` has its interior marked, keeping
     ``margin`` columns at each end and marking nothing past column ``last``.
     """
-    cols = rows.shape[1]
-    runs = agreement_run_starts(column_agreement(rows))
-    marked = np.zeros(cols, dtype=bool)
-    L = int(runs[0]) if cols else 0
-    if L > margin:
-        marked[: L - margin] = True
-    i = 1
-    while i <= last:
-        L = int(runs[i - 1])
-        if L >= min_run:
-            lo, hi = i + margin, min(i + L - 1, last) - margin
-            if lo <= hi:
-                marked[lo - 1 : hi] = True
-        i += max(L, 1)  # a column inside a run starts only a shorter run
-    edges = np.diff(np.concatenate(([1], marked, [1])).astype(np.int8))
-    starts, ends = np.flatnonzero(edges == -1), np.flatnonzero(edges == 1)
-    return [(int(s) + 1, int(e)) for s, e in zip(starts, ends)]
+    run_starts, run_lengths = agreement_run_starts(column_agreement(rows))
+    marked = []  # 0-based half-open column ranges, in order; only the first two may overlap
+    if len(run_starts) and run_starts[0] == 0 and run_lengths[0] > margin:
+        marked.append((0, int(run_lengths[0]) - margin))
+    walked = (run_starts < last) & (run_lengths >= min_run)  # 0-based starts: column s + 1 <= last
+    for s, L in zip(run_starts[walked].tolist(), run_lengths[walked].tolist()):
+        lo, hi = s + margin, min(s + L, last) - margin
+        if lo < hi:
+            marked.append((lo, hi))
+    intervals, col = [], 0  # col: the first column past every range so far
+    for lo, hi in marked:
+        if lo > col:
+            intervals.append((col + 1, lo))
+        col = max(col, hi)
+    if col < rows.shape[1]:
+        intervals.append((col + 1, rows.shape[1]))
+    return intervals
 
 
 @dataclass(frozen=True)
@@ -216,20 +216,30 @@ def majority(values, what: str) -> int:
     return top[0][0]
 
 
-def agreement_run_starts(equal: np.ndarray) -> np.ndarray:
-    """For each index i, the length of the True-run of ``equal`` starting at i."""
-    n = len(equal)
-    idx = np.arange(n, dtype=np.int64)
-    # the first False at or after each index (n if none): a reverse running minimum
-    nxt = np.minimum.accumulate(np.where(equal, n, idx)[::-1])[::-1]
-    return nxt - idx
+def agreement_run_starts(equal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal True-runs of ``equal`` as (starts, lengths), in order.
+
+    Built from the False indices alone, so the cost is that of one scan for them.
+    """
+    breaks = np.concatenate(([-1], np.flatnonzero(np.logical_not(equal)), [len(equal)]))
+    lengths = np.diff(breaks) - 1
+    nonempty = lengths > 0
+    return breaks[:-1][nonempty] + 1, lengths[nonempty]
+
+
+# a slide of the k-edit check compares this many columns first, then chunks this much larger each time
+_SLIDE_FIRST, _SLIDE_GROWTH = 64, 4
 
 
 def edit_distance_at_most(a: BitArray, b: BitArray, limit: int) -> int | None:
     """Insert/delete edit distance between a and b if <= limit, else None.
 
-    Greedy furthest-reaching diagonal search: O(limit) rounds, each sliding
-    along matches with one vectorized comparison per live diagonal.
+    Greedy furthest-reaching diagonal search (Myers 1986): O(limit) rounds,
+    each sliding every live diagonal along its matches. A slide compares 64
+    columns, then chunks 4x larger each time, and stops at the first chunk
+    that holds a mismatch, so it costs about the columns it slides past, not
+    the words' length: O((len(a) + len(b)) * limit) at worst, and a few short
+    chunks per diagonal when the words are close.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
@@ -239,10 +249,15 @@ def edit_distance_at_most(a: BitArray, b: BitArray, limit: int) -> int | None:
 
     def slide(x: int, y: int) -> int:
         span = min(n - x, m - y)
-        if span <= 0:
-            return x
-        neq = np.flatnonzero(a[x : x + span] != b[y : y + span])
-        return x + (int(neq[0]) if len(neq) else span)
+        done, chunk = 0, _SLIDE_FIRST
+        while done < span:
+            stop = min(done + chunk, span)
+            neq = a[x + done : x + stop] != b[y + done : y + stop]
+            first = int(neq.argmax())  # the first True, or 0 when there is none
+            if neq[first]:
+                return x + done + first
+            done, chunk = stop, chunk * _SLIDE_GROWTH
+        return x + max(span, 0)
 
     furthest = {1: 0}  # diagonal -> furthest x reached
     for dist in range(0, limit + 1):

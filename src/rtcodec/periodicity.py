@@ -22,7 +22,7 @@ def longest_periodic_run(bits, period: int) -> int:
     n = len(c)
     if not 1 <= period <= n:
         raise ValueError(f"period must be in [1, {n}]")
-    return int(agreement_run_starts(c[period:] == c[:-period]).max(initial=0)) + period
+    return int(agreement_run_starts(c[period:] == c[:-period])[1].max(initial=0)) + period
 
 
 def max_periodic_run(bits, k: int) -> int:

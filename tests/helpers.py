@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from rtcodec.bits import BitArray, as_bits, bits_from_int, column_agreement, int_from_bits, majority
+from rtcodec.delcodec import encode_deletions
+from rtcodec.editcodec import encode_edits
 from rtcodec.errors import HashRecoveryFailed, ReductionStuck, UnsupportedK
 from rtcodec.hashing import ColoringHasher, VtHasher
-from rtcodec.model import ReadMatrix
+from rtcodec.model import BitTrack, DeletionPattern, ReadMatrix, apply_deletions, apply_edits, sample_edit_pattern
 from rtcodec.params import CodeParams
 from rtcodec.trace import Trace
 
@@ -55,6 +57,21 @@ def oracle_edit_matrix(c: str, delta1, gamma1, bits_rows, offsets) -> list[str]:
         ins = {p + off: bits_rows[w][j] for j, p in enumerate(gamma1)}
         rows.append(oracle_edit_row(c, dels, ins))
     return rows
+
+
+def in_model_reads(params: CodeParams, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A random message's codeword and its reads under a random in-model
+    pattern anywhere on the track: k deletions in deletion mode, up to k edits
+    in edit mode."""
+    msg = BitTrack([rng.randrange(2) for _ in range(params.n)])
+    if params.kind == "deletion":
+        cw = BitTrack(encode_deletions(msg, params))
+        pattern = sample_edit_pattern(rng, len(cw), params.k, params.geometry, r=params.k, s=0)
+        reads = apply_deletions(cw, DeletionPattern(pattern.delta1), params.geometry)
+    else:
+        cw = BitTrack(encode_edits(msg, params))
+        reads = apply_edits(cw, sample_edit_pattern(rng, len(cw), params.k, params.geometry), params.geometry)
+    return cw.bits, np.asarray(reads.rows, dtype=np.uint8)
 
 
 def sample_deletions(rng, n: int, k: int, geometry):
@@ -349,6 +366,75 @@ def reference_agreement_run_starts(equal) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         out[i] = out[i + 1] + 1 if equal[i] else 0
     return out[:n]
+
+
+def reference_run_lengths(equal) -> np.ndarray:
+    """For each index i, the length of the True-run of ``equal`` starting at i,
+    by a reverse running minimum: the array interval marking read per column
+    before it took maximal runs."""
+    n = len(equal)
+    idx = np.arange(n, dtype=np.int64)
+    # the first False at or after each index (n if none): a reverse running minimum
+    nxt = np.minimum.accumulate(np.where(equal, n, idx)[::-1])[::-1]
+    return nxt - idx
+
+
+def reference_unmarked_intervals(rows: np.ndarray, margin: int, min_run: int, last: int) -> list[tuple[int, int]]:
+    """Interval marking by a per-column walk over the run-length array.
+
+    Defined for ``last`` <= the column count only: past it the walk indexes
+    beyond the array.
+    """
+    cols = rows.shape[1]
+    runs = reference_run_lengths(column_agreement(rows))
+    marked = np.zeros(cols, dtype=bool)
+    L = int(runs[0]) if cols else 0
+    if L > margin:
+        marked[: L - margin] = True
+    i = 1
+    while i <= last:
+        L = int(runs[i - 1])
+        if L >= min_run:
+            lo, hi = i + margin, min(i + L - 1, last) - margin
+            if lo <= hi:
+                marked[lo - 1 : hi] = True
+        i += max(L, 1)  # a column inside a run starts only a shorter run
+    edges = np.diff(np.concatenate(([1], marked, [1])).astype(np.int8))
+    starts, ends = np.flatnonzero(edges == -1), np.flatnonzero(edges == 1)
+    return [(int(s) + 1, int(e)) for s, e in zip(starts, ends)]
+
+
+def reference_edit_distance_at_most(a: BitArray, b: BitArray, limit: int) -> int | None:
+    """Insert/delete edit distance between a and b if <= limit, else None, by
+    the furthest-reaching diagonal search with every slide one full-length
+    comparison."""
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    n, m = len(a), len(b)
+    if abs(n - m) > limit:
+        return None
+
+    def slide(x: int, y: int) -> int:
+        span = min(n - x, m - y)
+        if span <= 0:
+            return x
+        neq = np.flatnonzero(a[x : x + span] != b[y : y + span])
+        return x + (int(neq[0]) if len(neq) else span)
+
+    furthest = {1: 0}  # diagonal -> furthest x reached
+    for dist in range(0, limit + 1):
+        for diag in range(-dist, dist + 1, 2):
+            if diag == -dist or (diag != dist and furthest.get(diag - 1, -1) < furthest.get(diag + 1, -1)):
+                x = furthest.get(diag + 1, 0)
+            else:
+                x = furthest.get(diag - 1, -1) + 1
+            y = x - diag
+            if 0 <= x <= n and 0 <= y <= m:
+                x = slide(x, y)
+            furthest[diag] = x
+            if x >= n and x - diag >= m:
+                return dist
+    return None
 
 
 def reference_edit_distance(a, b) -> int:

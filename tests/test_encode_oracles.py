@@ -211,8 +211,20 @@ def test_agreement_run_starts_matches_reference():
         n = int(rng.integers(0, 1001))
         cases.append(rng.random(n) < rng.random())
     for equal in cases:
-        got, want = agreement_run_starts(equal), reference_agreement_run_starts(equal)
-        assert got.dtype == want.dtype == np.int64
+        starts, lengths = agreement_run_starts(equal)
+        want = reference_agreement_run_starts(equal)
+        assert starts.dtype == lengths.dtype == want.dtype == np.int64
+        # the runs are non-empty, in order, all True and maximal
+        assert (lengths > 0).all()
+        assert (starts[1:] > starts[:-1] + lengths[:-1]).all()
+        for s, L in zip(starts.tolist(), lengths.tolist()):
+            assert equal[s : s + L].all()
+            assert s == 0 or not equal[s - 1]
+            assert s + L == len(equal) or not equal[s + L]
+        # expanded back to the per-index run lengths, they equal the reference
+        got = np.zeros(len(equal), dtype=np.int64)
+        for s, L in zip(starts.tolist(), lengths.tolist()):
+            got[s : s + L] = np.arange(L, 0, -1)
         assert np.array_equal(got, want), f"n={len(equal)}"
 
 

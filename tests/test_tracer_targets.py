@@ -14,7 +14,6 @@ import pkgutil
 from pathlib import Path
 
 import rtcodec
-from rtcodec.params import CodeParams
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -55,6 +54,9 @@ def test_the_benchmark_hashers_methods_are_patched():
     ``hash`` and ``recover`` calls must each land in a layer."""
     tracer_module = load_tracer()
     _, methods = patched_targets(tracer_module)
+    # the rtcodec loaded now, which the recorder patched: the benchmark drops and
+    # re-imports the package, so one imported when this file was collected may be stale
+    CodeParams = importlib.import_module("rtcodec.params").CodeParams
     hashers = {type(CodeParams.deletion(4096, 4, 2).hasher()), type(CodeParams.edit(1024, 4, 2).hasher())}
     missing = sorted(f"{cls.__name__}.{m}" for cls in hashers for m in tracer_module.METHOD_LAYERS if (cls, m) not in methods)
     assert not missing, f"the span recorder does not reach: {missing}"
